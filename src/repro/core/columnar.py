@@ -28,7 +28,7 @@ same names, same per-round metrics — is asserted by the differential
 suite in ``tests/sim/test_kernel_equivalence.py``; any behavioural change
 here must keep that suite green.
 
-Two engines share the layout:
+Two engines share the layout and one result surface:
 
 * :class:`ColumnarBallsEngine` — the failure-free fast path: one shared
   view, no inboxes, no adversary bookkeeping.
@@ -42,8 +42,15 @@ Two engines share the layout:
   per-round payload materialization for the adversary keeps the
   dedicated failure-free engine worthwhile.
 
-Runs the fast path cannot model (traces, phase statistics, invariant
-checking, uncertified adversary types) are rejected up front by
+Both expose the same surface to their one driver,
+:meth:`repro.sim.columnar.ColumnarKernel.run`: ``step(round_no)``, the
+per-ball ``decision``/``crashed``/``halted``/``round_*`` columns, the
+per-round ``last_*`` summary, ``positions()`` and ``monitor_views()``.
+The failure-free engine is the zero-crash case of that surface (no
+crashes, no omissions, one shared view).
+
+Runs the fast path cannot model (full traces, phase statistics,
+invariant checking, uncertified adversary types) are rejected up front by
 :func:`columnar_rejections` / the kernel and fall back to the reference
 kernel.
 """
@@ -89,6 +96,9 @@ _STAGE_POSITION = 2
 #: random draw, so it cannot be encoded as a comparison threshold.
 _FORCE_LEFT = 2.0
 _FORCE_RIGHT = -1.0
+
+_ACTIVE = int(BallStatus.ACTIVE)
+_ANNOUNCED = int(BallStatus.ANNOUNCED)
 
 
 def columnar_rejections(config: BallsIntoLeavesConfig) -> List[str]:
@@ -179,16 +189,34 @@ class ColumnarBallsEngine:
         self.running_count = n
         self.phase = 0
         self._stage = _STAGE_INIT
+        # The crash engine's per-ball and per-round result surface, at its
+        # zero-crash values: one kernel loop drives both engines.
+        self.crashed: List[bool] = [False] * n
+        self.round_crashed: List[Optional[int]] = [None] * n
+        self.silenced_round: Dict[int, int] = {}
+        self.last_omitters: List[int] = []
+        self.last_sent = 0
+        self.last_delivered = 0
+        self.last_crashes = 0
+        self.last_alive = n
+        self.last_running = n
+        self.last_omissions = 0
 
     # ------------------------------------------------------------------ driving
     def step(self, round_no: int) -> None:
         """Execute one round (the caller owns the lock-step loop)."""
+        sent = self.running_count
         if self._stage == _STAGE_INIT:
             self._init_round()
         elif self._stage == _STAGE_PATH:
             self._path_round(round_no)
         else:
             self._position_round(round_no)
+        # Every running process broadcasts, and every running process
+        # receives every broadcast (itself included).
+        self.last_sent = sent
+        self.last_delivered = sent * sent
+        self.last_running = self.running_count
 
     def positions(self) -> List[int]:
         """Every ball's current tree node, by label rank (trace capture)."""
@@ -501,13 +529,24 @@ class ColumnarBallsEngine:
         rounds = [r for r in self.round_named if r is not None]
         return max(rounds) if rounds else None
 
+    def monitor_views(self) -> List[Tuple[List[int], bytes]]:
+        """The one shared view in monitor form, while any ball runs.
+
+        Once every ball halted no live view remains (matching the
+        reference engine's running-process views).
+        """
+        if not self.running_count:
+            return []
+        if self._halt_on_name:
+            status = bytes(_ANNOUNCED if h else _ACTIVE for h in self.halted)
+        else:
+            status = bytes(self.n)
+        return [(self.pos, status)]
+
 
 # --------------------------------------------------------------------------
 # Crash-capable engine: equivalence classes of receivers over flat arrays.
 # --------------------------------------------------------------------------
-
-_ACTIVE = int(BallStatus.ACTIVE)
-_ANNOUNCED = int(BallStatus.ANNOUNCED)
 
 
 class _ProcessIntrospectionUnavailable(Mapping):

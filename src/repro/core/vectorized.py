@@ -230,8 +230,15 @@ class VectorizedCellEngine:
 
     Drive with :meth:`run`; afterwards the per-ball outcome arrays
     (``decision``, ``round_named``, ``round_halted``) and the per-trial
-    ``rounds`` / message counters hold every trial's result, in the
-    exact values the scalar engines produce trial by trial.
+    ``rounds`` / per-round metrics columns hold every trial's result, in
+    the exact values the scalar engines produce trial by trial.
+
+    The result surface is :class:`VectorizedCrashEngine`'s at its
+    zero-crash values (``crashed``/``round_crashed``/``overrun`` never
+    set, ``round_crashes`` all zero), so one stacked result type reads
+    either engine.  The round limit raises for the whole stack instead
+    of flagging ``overrun``: a failure-free trial only reaches it when
+    wedged, and the batch layer then re-runs the cell trial by trial.
 
     Balls are indexed trial-major: stream/ball ``s`` is trial ``s // n``,
     label rank ``s % n``; tree state is a ``(T * node_count,)`` flat
@@ -266,7 +273,7 @@ class VectorizedCellEngine:
         self.trials = T = len(trial_seeds)
         self._policy = policy
         self._halt_on_name = halt_on_name
-        self._max_rounds = max_rounds
+        self.max_rounds = max_rounds
         self._topo = topo = vectorized_topology(n)
         M = topo.node_count
         S = T * n
@@ -284,6 +291,8 @@ class VectorizedCellEngine:
         self.decision = np.full(S, -1, dtype=np.int32)
         self.round_named = np.full(S, -1, dtype=np.int32)
         self.round_halted = np.full(S, -1, dtype=np.int32)
+        self.crashed = np.zeros(S, dtype=bool)
+        self.round_crashed = np.full(S, -1, dtype=np.int32)
         # Shared-view columns.
         self._count = np.zeros(T * M, dtype=np.int32)
         self._span_tiled = np.tile(topo.span, T)
@@ -296,11 +305,16 @@ class VectorizedCellEngine:
         # Per-round candidate paths, rows indexed by absolute node depth.
         self._path = np.zeros((S, topo.height + 1), dtype=np.int32)
         self._end_depth = np.zeros(S, dtype=np.int32)
-        # Per-trial metrics trail: (senders, running_after) per round, for
-        # trials active that round.
+        # Metrics trail: one (T,) row per executed round, inactive trials
+        # zeroed (the crash engine's columns).
         self.rounds = np.zeros(T, dtype=np.int32)
-        self.round_senders: List["np.ndarray"] = []
-        self.round_running_after: List["np.ndarray"] = []
+        self.overrun = np.zeros(T, dtype=bool)
+        self.running_at_limit = np.zeros(T, dtype=np.int32)
+        self.round_sent: List["np.ndarray"] = []
+        self.round_delivered: List["np.ndarray"] = []
+        self.round_crashes: List["np.ndarray"] = []
+        self.round_alive: List["np.ndarray"] = []
+        self.round_running: List["np.ndarray"] = []
         # Persistent round cursor: run() resumes here, so the engine can
         # be driven in segments (the importance-splitting estimator stops
         # at each level, clones survivors, and resumes the clones).
@@ -326,13 +340,15 @@ class VectorizedCellEngine:
                 break
             if stop_after is not None and round_no >= stop_after:
                 break
-            if round_no >= self._max_rounds:
+            if round_no >= self.max_rounds:
                 raise RoundLimitExceeded(
-                    self._max_rounds, int(self.running[active][0])
+                    self.max_rounds, int(self.running[active][0])
                 )
             round_no += 1
             self._round = round_no
-            senders = np.where(active, self.running, 0)
+            # Every running ball broadcasts, and every running ball
+            # receives every broadcast (itself included).
+            sent = np.where(active, self.running, 0).astype(np.int64)
             if round_no == 1:
                 self._init_round()
             elif round_no % 2 == 0:
@@ -340,8 +356,13 @@ class VectorizedCellEngine:
             else:
                 self._position_round(round_no, active)
             self.rounds[active] = round_no
-            self.round_senders.append(senders)
-            self.round_running_after.append(np.where(active, self.running, 0))
+            self.round_sent.append(sent)
+            self.round_delivered.append(sent * sent)
+            self.round_crashes.append(np.zeros(self.trials, dtype=np.int64))
+            self.round_alive.append(np.where(active, np.int64(self.n), 0))
+            self.round_running.append(
+                np.where(active, self.running.astype(np.int64), 0)
+            )
             if observer is not None:
                 observer(self, round_no, active)
 

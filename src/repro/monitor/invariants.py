@@ -338,31 +338,13 @@ class RunMonitor:
 # --------------------------------------------------------------- adapters
 
 
-def observe_balls_engine(monitor: RunMonitor, engine, round_no: int) -> None:
-    """One observation of a failure-free ``ColumnarBallsEngine`` round."""
-    if engine.running_count > 0:
-        if monitor.halt_on_name:
-            status = bytes(
-                _ANNOUNCED if halted else _ACTIVE for halted in engine.halted
-            )
-        else:
-            status = bytes(engine.n)
-        views = [(engine.pos, status)]
-    else:
-        # The run just finished: every ball halted, no live view remains
-        # (matching the reference engine's running-process views).
-        views = []
-    monitor.observe(
-        round_no,
-        views=views,
-        decisions=engine.decision,
-        crashed=None,
-        running=engine.running_count,
-    )
-
-
 def observe_crash_engine(monitor: RunMonitor, engine, round_no: int) -> None:
-    """One observation of a ``ColumnarCrashEngine`` round."""
+    """One observation of a columnar engine round.
+
+    Reads the surface both columnar engines share: a
+    ``ColumnarCrashEngine``, or a failure-free ``ColumnarBallsEngine`` as
+    its zero-crash case (one shared view, no crash flags set).
+    """
     monitor.observe(
         round_no,
         views=engine.monitor_views(),
@@ -375,7 +357,7 @@ def observe_crash_engine(monitor: RunMonitor, engine, round_no: int) -> None:
 
 class ReferenceMonitorAdapter:
     """A :class:`~repro.sim.simulator.Simulation` observer feeding the
-    monitor the same state the columnar adapters see.
+    monitor the same state the columnar adapter sees.
 
     Attach to the reference kernel's observer list; after every round it
     extracts the distinct local views of running balls, converts node

@@ -14,13 +14,13 @@ generation into :class:`~repro.sim.batch.TrialSpec` rows (with
 ``capture_errors=True`` so a mined deadlock is data, not an abort) and
 dispatches them through :func:`repro.sim.batch.run_batch` — searches
 parallelize across the same executors as every experiment sweep and
-reuse kernel auto-selection.  Every built-in strategy emits *same-cell*
-generations (one ``(algorithm, n, ...)`` shape, one schedule adversary
-per candidate), which it advertises via
-:attr:`SearchStrategy.same_cell_batches`; the evaluator forwards that
-hint as ``run_batch(..., mixed_cells=True)`` so a whole generation
-stacks onto the vectorized crash engine as one pass — bit-identical
-scores, so hunt histories don't change, just their wall-clock.
+reuse kernel auto-selection.  A generation shares one cell shape (one
+``(algorithm, n, ...)`` configuration, one schedule adversary per
+candidate), so the batch planner stacks its certified crash-only
+candidates onto the vectorized crash engine as one pass once the
+generation is large enough; candidates carrying other fault families
+run per trial.  Scores are bit-identical either way, so hunt histories
+don't change, just their wall-clock.
 
 Everything is deterministic in ``HuntConfig.seed``: strategy randomness
 flows from a derived RNG, each candidate's trial seeds derive from the
@@ -178,14 +178,10 @@ class Evaluator:
         executor=None,
         workers: Optional[int] = None,
         chunksize: Optional[int] = None,
-        mixed_cells: bool = False,
     ) -> None:
         self.config = config
         self.objective: Objective = as_objective(config.objective)
         self._backend = as_executor(executor, workers=workers, chunksize=chunksize)
-        #: Stack same-cell generations with per-candidate adversaries
-        #: (set from the strategy's batching hint by :func:`run_hunt`).
-        self.mixed_cells = mixed_cells
         self.history: List[Evaluation] = []
         self.trials_used = 0
 
@@ -230,9 +226,7 @@ class Evaluator:
             for schedule in schedules
             for trial in range(per)
         ]
-        batch = run_batch(
-            specs, executor=self._backend, mixed_cells=self.mixed_cells
-        )
+        batch = run_batch(specs, executor=self._backend)
         evaluations = []
         for i, schedule in enumerate(schedules):
             results = tuple(batch.trials[i * per : (i + 1) * per])
@@ -369,11 +363,6 @@ class SearchStrategy(ABC):
     #: Candidates scored per batch dispatch — one executor round-trip,
     #: so searches parallelize across workers in generation-sized waves.
     batch_size: int = 16
-    #: Batching hint: True when every generation shares one cell shape
-    #: (only seeds and schedule adversaries differ), letting the
-    #: evaluator stack whole generations on the vectorized crash engine.
-    #: A custom strategy mixing cell shapes in one batch must clear it.
-    same_cell_batches: bool = True
 
     def rng_for(self, config: HuntConfig):
         """The strategy's private randomness (independent of trials')."""
@@ -559,7 +548,6 @@ def run_hunt(
         executor=executor,
         workers=workers,
         chunksize=chunksize,
-        mixed_cells=search.same_cell_batches,
     )
     search.run(evaluator)
     return HuntResult(

@@ -8,9 +8,11 @@ makes those sweeps first-class:
   seed, adversary), picklable so it can cross process boundaries;
 * :class:`ScenarioMatrix` — expands an algorithm x size x adversary x
   seed grid into trial specs with deterministic per-trial seeds;
+* :func:`plan_tasks` — folds the specs into executor work items: lone
+  trials, and stacks of same-shape trials for the vectorized engines;
 * :class:`SerialExecutor` / :class:`MultiprocessingExecutor` — pluggable
-  backends that map :func:`run_trial` over the specs, chunked, preserving
-  input order so results are independent of the backend;
+  backends with one entry point, ``run_tasks(tasks)``, chunked and
+  order-preserving so results are independent of the backend;
 * :class:`BatchResult` — the aggregated outcome, grouped into per-cell
   round/failure/message statistics ready for :mod:`repro.analysis.tables`.
 
@@ -21,21 +23,27 @@ historical ``base_seed * 100_003 + trial`` schedule in ``"legacy"`` mode),
 and executors preserve order — so serial and multiprocessing backends
 produce identical :class:`BatchResult` cells, byte for byte.
 
-Execution is *cell-granular* where it pays: consecutive trials of one
-failure-free cell are stacked into a single
-:func:`repro.sim.vectorized.run_stacked_cell` pass (NumPy installed,
-``kernel`` in ``{"auto", "vectorized"}``), so a sweep dispatches whole
-cells — chunked across workers — instead of pickling every
-:class:`TrialSpec` individually.  The stacked engine is bit-identical to
-the per-trial kernels, so the upgrade changes wall-clock only; cells the
-vectorized engine rejects (crashes, non-BiL algorithms, missing NumPy)
-keep the per-trial path and its ``auto`` kernel selection.
+Execution is *cell-granular* where it pays, through one path: every
+run of consecutive trials sharing a cell shape (everything but the seed
+and the adversary) is a planning group, each trial's own adversary
+decides whether it may stack, and consecutive stackable trials execute
+as one :func:`repro.sim.vectorized.run_stacked_cell` pass (NumPy
+installed, ``kernel`` in ``{"auto", "vectorized"}``) — a sweep cell's
+seeds, adjacent cells of a matrix, or a hunt generation's schedules
+alike.  :func:`run_cell` turns a stack into the rows :func:`run_trial`
+would produce, per-trial errors included (one error-row builder serves
+both).  The stacked engines are bit-identical to the per-trial kernels,
+so the upgrade changes wall-clock only; trials the vectorized engine
+rejects (uncertified or non-crash faults, monitored crashes, non-BiL
+algorithms, missing NumPy) keep the per-trial path and its ``auto``
+kernel selection.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import multiprocessing
 import operator
 import os
@@ -332,8 +340,8 @@ class TrialSpec:
     crash_budget: Optional[int] = None
     check: bool = True
     #: Kernel selection: "auto" (stacked vectorized cells for eligible
-    #: failure-free batches, columnar when it models the run, reference
-    #: otherwise), or a pinned "reference" / "columnar" / "vectorized"
+    #: runs of same-shape trials, columnar when it models the run,
+    #: reference otherwise), or a pinned "reference" / "columnar" / "vectorized"
     #: (pinned fast paths raise KernelUnsupported on rejected cells).
     kernel: str = "auto"
     #: Counterexample-mining mode: capture simulation/spec failures as
@@ -461,7 +469,7 @@ class TrialResult:
 def run_trial(spec: TrialSpec) -> TrialResult:
     """Execute one spec end to end (module-level so executors can pickle it)."""
     adversary = spec.adversary.build(spec.seed)
-    fault_budget = "" if adversary is None else adversary.fault_budget().describe()
+    fault_budget = _fault_budget(adversary)
     try:
         run = run_renaming(
             spec.algorithm,
@@ -478,34 +486,7 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     except (SimulationError, SpecViolation) as error:
         if not spec.capture_errors:
             raise
-        # The round budget a deadlocked run exhausted: the worst legal
-        # round count, so rounds-style objectives rank it above any
-        # terminating execution.
-        limit = (
-            error.limit
-            if isinstance(error, RoundLimitExceeded)
-            else default_round_limit(spec.n, spec.crash_budget)
-        )
-        return TrialResult(
-            spec=spec,
-            rounds=limit,
-            failures=0,
-            messages_sent=0,
-            messages_delivered=0,
-            last_round_named=None,
-            names=(),
-            kernel=spec.kernel,
-            error=f"{type(error).__name__}: {error}",
-            monitor=spec.monitor,
-            violations=tuple(
-                v.render() for v in getattr(error, "violations", ())
-            ),
-            fault_budget=fault_budget,
-            # The events recorded up to the failure (runner hangs the
-            # sink on the error): a deadlock's trace is the interesting
-            # one, so captured-error rows keep it.
-            trace=getattr(error, "partial_trace", None),
-        )
+        return _error_result(spec, error, fault_budget)
     return TrialResult(
         spec=spec,
         rounds=run.rounds,
@@ -525,10 +506,47 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     )
 
 
+def _fault_budget(adversary: Optional[Adversary]) -> str:
+    """The row's compact fault-budget column for one built adversary."""
+    return "" if adversary is None else adversary.fault_budget().describe()
+
+
+def _error_result(
+    spec: TrialSpec, error: Exception, fault_budget: str
+) -> TrialResult:
+    """The captured-error row of one failed trial, whichever path ran it."""
+    # The round budget a deadlocked run exhausted: the worst legal round
+    # count, so rounds-style objectives rank it above any terminating
+    # execution.
+    limit = (
+        error.limit
+        if isinstance(error, RoundLimitExceeded)
+        else default_round_limit(spec.n, spec.crash_budget)
+    )
+    return TrialResult(
+        spec=spec,
+        rounds=limit,
+        failures=0,
+        messages_sent=0,
+        messages_delivered=0,
+        last_round_named=None,
+        names=(),
+        kernel=spec.kernel,
+        error=f"{type(error).__name__}: {error}",
+        monitor=spec.monitor,
+        violations=tuple(v.render() for v in getattr(error, "violations", ())),
+        fault_budget=fault_budget,
+        # The events recorded up to the failure (runner hangs the sink on
+        # the error): a deadlock's trace is the interesting one, so
+        # captured-error rows keep it.
+        trace=getattr(error, "partial_trace", None),
+    )
+
+
 # --------------------------------------------------------- stacked cell tasks
 
 #: One executor work item: a lone spec (per-trial path) or a tuple of
-#: same-cell specs executed as one vectorized stack.
+#: same-shape specs executed as one vectorized stack.
 Task = Union[TrialSpec, Tuple[TrialSpec, ...]]
 
 #: Stream budget (trials x n) of one stacked call; bounds the resident
@@ -539,7 +557,7 @@ DEFAULT_MAX_STREAMS = repro_config.DEFAULT_MAX_STREAMS
 
 _max_streams = repro_config.vec_max_streams
 
-#: Minimum stream count (trials x n) below which a *crash* cell stays on
+#: Minimum stream count (trials x n) below which *crash* trials stay on
 #: the per-trial columnar path.  The crash stack pays fixed per-round
 #: costs (adversary planning, class-matrix bookkeeping) that only
 #: amortize across enough streams; measured crossover on one core sits
@@ -551,29 +569,12 @@ DEFAULT_CRASH_MIN_STREAMS = repro_config.DEFAULT_CRASH_MIN_STREAMS
 _crash_min_streams = repro_config.crash_min_streams
 
 
-def _cell_config(spec: TrialSpec) -> Tuple[Any, ...]:
-    """Everything but the seed: trials agreeing here can stack."""
-    return (
-        spec.algorithm,
-        spec.n,
-        spec.adversary,
-        spec.halt_on_name,
-        spec.crash_budget,
-        spec.check,
-        spec.kernel,
-        spec.capture_errors,
-        spec.monitor,
-        spec.trace,
-    )
-
-
 def _mixed_cell_config(spec: TrialSpec) -> Tuple[Any, ...]:
-    """The cell configuration up to the adversary.
+    """The cell configuration up to the seed and the adversary.
 
-    Hunt generations evaluate many one-of-a-kind crash schedules against
-    one cell shape; grouping on this key (``mixed`` task planning) lets
-    those stack with per-trial adversaries where :func:`_cell_config`
-    grouping would leave every candidate on the per-trial path.
+    Trials agreeing here share one cell *shape* and may stack, each with
+    its own adversary — a sweep cell's seeds, adjacent cells of one
+    matrix, or a hunt generation's one-of-a-kind schedules alike.
     """
     return (
         spec.algorithm,
@@ -589,11 +590,11 @@ def _mixed_cell_config(spec: TrialSpec) -> Tuple[Any, ...]:
 
 
 def _stackable(spec: TrialSpec) -> bool:
-    """Can trials shaped like ``spec`` run as one vectorized cell?
+    """Can ``spec``, with its own adversary, run inside a vectorized stack?
 
-    Delegates the supported-grid decision to the kernel's own rejection
-    logic so the batch upgrade and an explicitly pinned
-    ``kernel="vectorized"`` accept exactly the same cells.
+    Delegates the decision to the kernel's own rejection logic so the
+    batch upgrade and an explicitly pinned ``kernel="vectorized"``
+    accept exactly the same trials.
     """
     if spec.kernel not in ("auto", "vectorized"):
         return False
@@ -617,147 +618,107 @@ def _stackable(spec: TrialSpec) -> bool:
     return cell_rejection(request) is None
 
 
-def plan_tasks(
-    specs: Sequence[TrialSpec], *, parts: int = 1, mixed: bool = False
-) -> List[Task]:
-    """Fold runs of same-cell specs into stacked tasks, order-preserving.
+def plan_tasks(specs: Sequence[TrialSpec], *, parts: int = 1) -> List[Task]:
+    """Fold runs of same-shape specs into stacked tasks, order-preserving.
+
+    Consecutive specs agreeing on :func:`_mixed_cell_config` form one
+    group.  Within a group each trial's *own* adversary decides whether
+    it can stack (:func:`_stackable`, answered once per distinct
+    adversary spec), and consecutive stackable trials of one engine
+    family — failure-free or crash — become stacked tasks; everything
+    else stays an individual trial.
+
+    Crash runs additionally respect the :data:`DEFAULT_CRASH_MIN_STREAMS`
+    floor: below it the stacked crash engine's fixed per-round costs
+    outweigh the amortization, so small crash runs keep the per-trial
+    columnar path (a pure scheduling choice — the engines are
+    bit-identical).  The floor is checked before any adversary is built,
+    so a group too small to stack crash trials plans without building.
 
     ``parts`` splits large stacks (one per worker, roughly) so a single
     big cell still spreads across a pool; every stack additionally
-    respects the :data:`DEFAULT_MAX_STREAMS` memory budget.  Specs the
-    vectorized engine cannot stack stay individual trials.
-
-    ``mixed`` groups on :func:`_mixed_cell_config` instead — trials of
-    one cell shape stack even when each carries its own adversary spec
-    (the hunt batching hint), provided every adversary in the run shares
-    a name (so one certification answer covers the group).
-
-    Crash groups additionally respect the
-    :data:`DEFAULT_CRASH_MIN_STREAMS` floor: below it the stacked crash
-    engine's fixed per-round costs outweigh the amortization, so small
-    crash cells keep the per-trial columnar path (a pure scheduling
-    choice — the engines are bit-identical).
+    respects the :data:`DEFAULT_MAX_STREAMS` memory budget.
     """
     tasks: List[Task] = []
     specs = list(specs)
-    max_streams = _max_streams()
-    config_of = _mixed_cell_config if mixed else _cell_config
     i = 0
     while i < len(specs):
-        spec = specs[i]
+        config = _mixed_cell_config(specs[i])
         j = i + 1
-        config = config_of(spec)
-        while j < len(specs) and config_of(specs[j]) == config:
-            if mixed and specs[j].adversary.name != spec.adversary.name:
-                break
+        while j < len(specs) and _mixed_cell_config(specs[j]) == config:
             j += 1
-        group = specs[i:j]
-        stacks = len(group) >= 2 and _stackable(spec)
-        if stacks and spec.adversary.name != "none":
-            # Crash stacks only pay above the stream floor; smaller
-            # crash cells keep per-trial columnar speed (bit-identical
-            # either way — the floor is purely a scheduling choice).
-            stacks = len(group) * spec.n >= _crash_min_streams()
-        if stacks:
-            chunk = max(1, max_streams // max(1, spec.n))
-            if parts > 1:
-                chunk = max(1, min(chunk, -(-len(group) // parts)))
-            # Split pieces stay stacked even when a remainder has one
-            # trial: chunking must never change the executing kernel.
-            for k in range(0, len(group), chunk):
-                tasks.append(tuple(group[k : k + chunk]))
-        else:
-            tasks.extend(group)
+        tasks.extend(_plan_group(specs[i:j], parts))
         i = j
+    return tasks
+
+
+def _plan_group(group: Sequence[TrialSpec], parts: int) -> List[Task]:
+    """Stacked and individual tasks for one run of same-shape specs."""
+    if len(group) < 2:
+        return list(group)
+    n = group[0].n
+    floor = _crash_min_streams()
+    crash_floor_met = len(group) * n >= floor
+    verdicts: Dict[AdversarySpec, bool] = {}
+
+    def family(spec: TrialSpec) -> Optional[str]:
+        """The stacked engine family ``spec`` joins (None = per trial)."""
+        kind = "free" if spec.adversary.name == "none" else "crash"
+        if kind == "crash" and not crash_floor_met:
+            return None
+        verdict = verdicts.get(spec.adversary)
+        if verdict is None:
+            verdict = verdicts[spec.adversary] = _stackable(spec)
+        return kind if verdict else None
+
+    tasks: List[Task] = []
+    max_streams = _max_streams()
+    for kind, run in itertools.groupby(group, key=family):
+        run = list(run)
+        stacks = kind is not None and len(run) >= 2
+        if stacks and kind == "crash":
+            stacks = len(run) * n >= floor
+        if not stacks:
+            tasks.extend(run)
+            continue
+        chunk = max(1, max_streams // max(1, n))
+        if parts > 1:
+            chunk = max(1, min(chunk, -(-len(run) // parts)))
+        # Split pieces stay stacked even when a remainder has one trial:
+        # chunking must never change the executing kernel.
+        for k in range(0, len(run), chunk):
+            tasks.append(tuple(run[k : k + chunk]))
     return tasks
 
 
 def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
     """Execute one stacked cell (module-level: picklable).
 
-    All specs must share a cell configuration up to the adversary
-    (:func:`plan_tasks` guarantees it; direct callers are checked); the
-    stacked engines are bit-identical to the scalar kernels, so each
-    returned :class:`TrialResult` equals the :func:`run_trial` outcome
-    of its spec except for the ``kernel`` label.  Crash cells build one
-    adversary per trial from that trial's seed — exactly the instance
-    :func:`run_trial` would hand its kernel.
+    All specs must share :func:`_mixed_cell_config` (:func:`plan_tasks`
+    guarantees it; direct callers are checked); each trial runs under
+    the adversary its own spec builds from its own seed — exactly the
+    instance :func:`run_trial` would hand its kernel.  The stacked
+    engines are bit-identical to the scalar kernels, so each returned
+    :class:`TrialResult` equals the :func:`run_trial` outcome of its
+    spec except for the ``kernel`` label.
+
+    Trial failures resolve as in a serial loop: in ascending trial
+    order, a trial's :class:`RoundLimitExceeded` before its spec check;
+    the first one raises, or — under ``capture_errors`` — becomes the
+    same error row :func:`run_trial` builds, without re-running
+    anything.
     """
-    from repro.adversary.none import NoFailures
     from repro.sim.vectorized import run_stacked_cell
 
     spec = specs[0]
+    config = _mixed_cell_config(spec)
     for other in specs[1:]:
-        if _mixed_cell_config(other) != _mixed_cell_config(spec):
+        if _mixed_cell_config(other) != config:
             raise ConfigurationError(
-                "run_cell needs same-cell specs (only seeds and certified "
-                f"adversaries may differ); got {_cell_config(spec)} and "
-                f"{_cell_config(other)}"
+                "run_cell needs same-cell specs (only seeds and adversaries "
+                f"may differ); got {config} and {_mixed_cell_config(other)}"
             )
     adversaries = [s.adversary.build(s.seed) for s in specs]
-    crashy = any(
-        adv is not None and type(adv) is not NoFailures for adv in adversaries
-    )
-    if crashy:
-        return _run_crash_cell(specs, adversaries)
-    cell = run_stacked_cell(
-        sparse_ids(spec.n),
-        [s.seed for s in specs],
-        policy=ALGORITHMS[spec.algorithm],
-        halt_on_name=spec.halt_on_name,
-        crash_budget=spec.crash_budget,
-        monitor=spec.monitor,
-    )
-    if spec.check:
-        cell.check()
-    labels = cell.labels
-    # repr-sort of the (shared) labels once per cell, not once per trial;
-    # itemgetter picks each trial's decisions in that order at C speed.
-    order = sorted(range(len(labels)), key=lambda i: repr(labels[i]))
-    ordered_labels = tuple(labels[i] for i in order)
-    pick = operator.itemgetter(*order) if len(order) > 1 else None
-    rounds = cell.rounds.tolist()
-    sent = cell.messages_sent.tolist()
-    delivered = cell.messages_delivered.tolist()
-    decisions = cell.decisions.tolist()
-    results = []
-    for t, trial_spec in enumerate(specs):
-        row = decisions[t]
-        picked = pick(row) if pick is not None else (row[order[0]],)
-        results.append(
-            TrialResult(
-                spec=trial_spec,
-                rounds=rounds[t],
-                failures=0,
-                messages_sent=sent[t],
-                messages_delivered=delivered[t],
-                last_round_named=cell.last_round_named(t),
-                names=tuple(zip(ordered_labels, picked)),
-                kernel="vectorized",
-                monitor=spec.monitor,
-                violations=tuple(
-                    v.render() for v in cell.violations(t)
-                ),
-                trace=cell.trace(t) if spec.trace == "cheap" else None,
-            )
-        )
-    return results
-
-
-def _run_crash_cell(
-    specs: Sequence[TrialSpec], adversaries: Sequence[Any]
-) -> List[TrialResult]:
-    """One stacked crash cell, trial faults resolved in serial order.
-
-    The stacked engine flags an overrun trial instead of raising, so the
-    per-trial semantics of the serial loop are reproduced here: ascending
-    trial order, a trial's :class:`RoundLimitExceeded` before its spec
-    check, and — under ``capture_errors`` — the exact error rows
-    :func:`run_trial` would have produced, without re-running anything.
-    """
-    from repro.sim.vectorized import run_stacked_cell
-
-    spec = specs[0]
     cell = run_stacked_cell(
         sparse_ids(spec.n),
         [s.seed for s in specs],
@@ -767,56 +728,41 @@ def _run_crash_cell(
         monitor=spec.monitor,
         adversaries=adversaries,
     )
+    spec_errors = cell.check() if spec.check else None
     labels = cell.labels
+    # repr-sort of the (shared) labels once per cell, not once per trial;
+    # itemgetter picks a complete trial's decisions in that order at C
+    # speed, and trials with crashed or undecided balls filter instead.
     order = sorted(range(len(labels)), key=lambda i: repr(labels[i]))
+    ordered_labels = tuple(labels[i] for i in order)
+    pick = operator.itemgetter(*order) if len(order) > 1 else None
+    named = ~cell.crashed & (cell.decisions >= 0)
+    complete = named.all(axis=1).tolist()
     rounds = cell.rounds.tolist()
     failures = cell.failures.tolist()
     sent = cell.messages_sent.tolist()
     delivered = cell.messages_delivered.tolist()
     decisions = cell.decisions.tolist()
-    crashed = cell.crashed.tolist()
-    overrun = cell.overrun.tolist()
-    spec_ok = cell.spec_ok() if spec.check else None
     results = []
     for t, trial_spec in enumerate(specs):
-        error: Optional[Exception] = None
-        if overrun[t]:
-            error = RoundLimitExceeded(
-                cell.limit, int(cell.running_at_limit[t])
-            )
-        elif spec_ok is not None and not bool(spec_ok[t]):
-            try:
-                cell.check_trial(t)
-            except SpecViolation as violation:
-                error = violation
+        fault_budget = _fault_budget(adversaries[t])
+        error: Optional[Exception] = cell.round_limit_error(t)
+        if error is None and spec_errors is not None:
+            error = spec_errors[t]
         if error is not None:
             if not trial_spec.capture_errors:
                 raise error
-            limit = (
-                error.limit
-                if isinstance(error, RoundLimitExceeded)
-                else default_round_limit(trial_spec.n, trial_spec.crash_budget)
-            )
-            results.append(
-                TrialResult(
-                    spec=trial_spec,
-                    rounds=limit,
-                    failures=0,
-                    messages_sent=0,
-                    messages_delivered=0,
-                    last_round_named=None,
-                    names=(),
-                    kernel=trial_spec.kernel,
-                    error=f"{type(error).__name__}: {error}",
-                    monitor=trial_spec.monitor,
-                    violations=tuple(
-                        v.render() for v in getattr(error, "violations", ())
-                    ),
-                )
-            )
+            if trial_spec.trace == "cheap":
+                error.partial_trace = cell.trace(t)
+            results.append(_error_result(trial_spec, error, fault_budget))
             continue
         row = decisions[t]
-        crashed_row = crashed[t]
+        if complete[t]:
+            picked = pick(row) if pick is not None else (row[order[0]],)
+            names = tuple(zip(ordered_labels, picked))
+        else:
+            keep = named[t].tolist()
+            names = tuple((labels[i], row[i]) for i in order if keep[i])
         results.append(
             TrialResult(
                 spec=trial_spec,
@@ -825,17 +771,12 @@ def _run_crash_cell(
                 messages_sent=sent[t],
                 messages_delivered=delivered[t],
                 last_round_named=cell.last_round_named(t),
-                names=tuple(
-                    (labels[i], row[i])
-                    for i in order
-                    if not crashed_row[i] and row[i] >= 0
-                ),
+                names=names,
                 kernel="vectorized",
                 monitor=trial_spec.monitor,
-                violations=(),
-                trace=(
-                    cell.trace(t) if trial_spec.trace == "cheap" else None
-                ),
+                violations=tuple(v.render() for v in cell.violations(t)),
+                fault_budget=fault_budget,
+                trace=cell.trace(t) if trial_spec.trace == "cheap" else None,
             )
         )
     return results
@@ -850,9 +791,10 @@ def _run_task(task: Task) -> List[TrialResult]:
     except (SimulationError, SpecViolation):
         if not task[0].capture_errors:
             raise
-        # The stacked engine fails the whole cell at once; re-run its
-        # trials individually so only the poisoned ones become error
-        # rows (run_trial captures per spec, bit-identical otherwise).
+        # The failure-free engine fails the whole stack at its round
+        # limit; re-run the trials individually so only the poisoned
+        # ones become error rows (run_trial captures per spec,
+        # bit-identical otherwise).
         return [run_trial(spec) for spec in task]
 
 
@@ -860,13 +802,9 @@ def _run_task(task: Task) -> List[TrialResult]:
 
 
 class SerialExecutor:
-    """Run trials in-process, one after another."""
+    """Run planned tasks in-process, one after another."""
 
     name = "serial"
-
-    def run(self, specs: Sequence[TrialSpec]) -> List[TrialResult]:
-        """Map :func:`run_trial` over ``specs`` in order."""
-        return [run_trial(spec) for spec in specs]
 
     def run_tasks(self, tasks: Sequence[Task]) -> List[TrialResult]:
         """Execute planned tasks in order (stacked cells inline)."""
@@ -877,7 +815,7 @@ class SerialExecutor:
 
 
 class MultiprocessingExecutor:
-    """Run trials across a :mod:`multiprocessing` pool, chunked.
+    """Run planned tasks across a :mod:`multiprocessing` pool, chunked.
 
     ``Pool.map`` preserves input order, so cells come back in exactly the
     order the serial executor would produce — determinism under
@@ -912,15 +850,6 @@ class MultiprocessingExecutor:
         # ~4 chunks per worker balances load without drowning in IPC.
         return max(1, items // (self.workers * 4))
 
-    def run(self, specs: Sequence[TrialSpec]) -> List[TrialResult]:
-        """Map :func:`run_trial` over ``specs``, preserving order."""
-        specs = list(specs)
-        if self.workers == 1 or len(specs) <= 1:
-            return SerialExecutor().run(specs)
-        context = multiprocessing.get_context(self.start_method)
-        with context.Pool(processes=self.workers) as pool:
-            return pool.map(run_trial, specs, self._resolved_chunksize(len(specs)))
-
     def run_tasks(self, tasks: Sequence[Task]) -> List[TrialResult]:
         """Execute planned tasks across the pool, preserving order."""
         tasks = list(tasks)
@@ -942,7 +871,11 @@ def as_executor(
     workers: Optional[int] = None,
     chunksize: Optional[int] = None,
 ):
-    """Coerce a name / None / executor instance to an executor object."""
+    """Coerce a name / None / executor instance to an executor object.
+
+    An executor object is anything with a ``run_tasks(tasks)`` method
+    returning the results of :func:`plan_tasks` output in order.
+    """
     if value is None:
         if workers is not None and workers > 1:
             return MultiprocessingExecutor(workers, chunksize=chunksize)
@@ -955,9 +888,11 @@ def as_executor(
         raise ConfigurationError(
             f"unknown executor {value!r}; choose from {EXECUTORS}"
         )
-    if hasattr(value, "run"):
+    if callable(getattr(value, "run_tasks", None)):
         return value
-    raise ConfigurationError(f"not an executor: {value!r}")
+    raise ConfigurationError(
+        f"not an executor: {value!r} has no run_tasks(tasks) method"
+    )
 
 
 # -------------------------------------------------------------- scenario matrix
@@ -1187,29 +1122,22 @@ def run_batch(
     executor: Union[None, str, SerialExecutor, MultiprocessingExecutor] = None,
     workers: Optional[int] = None,
     chunksize: Optional[int] = None,
-    mixed_cells: bool = False,
 ) -> BatchResult:
     """Expand (if needed) and execute a batch of trials.
 
     ``executor`` may be an executor object, a name from
     :data:`EXECUTORS`, or None (serial; or process when ``workers > 1``).
-    Eligible cells — failure-free and certified-crash alike — run
-    trial-stacked on the vectorized engine (one call per cell, split
-    across workers); results are bit-identical either way, so backends
-    and kernels interchange freely.  ``mixed_cells`` extends stacking to
-    groups whose trials carry per-trial adversary specs (hunt batches).
+    :func:`plan_tasks` stacks every eligible run of same-shape trials on
+    the vectorized engines (one call per stack, split across workers);
+    results are bit-identical either way, so backends and kernels
+    interchange freely.
     """
     specs = source.expand() if isinstance(source, ScenarioMatrix) else list(source)
     backend = as_executor(executor, workers=workers, chunksize=chunksize)
     parts = getattr(backend, "workers", 1)
     # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
     started = time.perf_counter()
-    if hasattr(backend, "run_tasks"):
-        results = backend.run_tasks(
-            plan_tasks(specs, parts=parts, mixed=mixed_cells)
-        )
-    else:  # a caller-supplied executor object predating task planning
-        results = backend.run(specs)
+    results = backend.run_tasks(plan_tasks(specs, parts=parts))
     # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
     elapsed = time.perf_counter() - started
     return BatchResult(trials=results, executor=backend.name, elapsed=elapsed)

@@ -7,7 +7,7 @@ lock-step rounds, produces the same per-round
 and assembles an identical :class:`~repro.sim.simulator.SimulationResult`
 — bit-for-bit, as asserted by the differential suite.
 
-Two array engines split the work:
+Two array engines split the work, behind one round loop:
 
 * failure-free runs (no adversary, or ``NoFailures``) execute on
   :class:`~repro.core.columnar.ColumnarBallsEngine`, the single-shared-
@@ -17,6 +17,13 @@ Two array engines split the work:
   partial deliveries, receiver equivalence classes, and the
   announced-termination lifecycle (halt-on-name) as per-ball status
   columns and per-round crash masks.
+
+:meth:`ColumnarKernel.run` picks the engine and then drives either
+through the same loop: step, monitor observation
+(:func:`~repro.monitor.invariants.observe_crash_engine` over
+``monitor_views()``), the metrics row from the engine's per-round
+``last_*`` summary, and the cheap-trace deltas.  The failure-free
+engine exposes that surface as its zero-crash case.
 
 Of the fault families (:data:`~repro.adversary.base.FAULT_FAMILIES`),
 this kernel applies ``crash`` and ``omission`` — an omitting sender folds
@@ -44,7 +51,7 @@ engine's full stream.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.adversary.certification import certification_failure
 from repro.adversary.none import NoFailures
@@ -114,97 +121,29 @@ class ColumnarKernel(SimulationKernel):
                 f"crash budget must satisfy 0 <= t < n; "
                 f"got t={request.crash_budget}, n={n}"
             )
+        # The failure-free engine is the zero-crash case of the crash
+        # engine's surface, so one round loop drives either.
+        from repro.core.columnar import ColumnarBallsEngine, ColumnarCrashEngine
+
         adversary = request.adversary
+        engine: Union[ColumnarBallsEngine, ColumnarCrashEngine]
+        timer_started = TIMERS.start()
         if adversary is None or type(adversary) is NoFailures:
-            return self._run_failure_free(request)
-        return self._run_with_adversary(request)
-
-    # ------------------------------------------------------------ failure-free
-    def _run_failure_free(self, request: KernelRequest) -> KernelRun:
-        from repro.core.columnar import ColumnarBallsEngine
-
-        n = request.n
-        timer_started = TIMERS.start()
-        engine = ColumnarBallsEngine(
-            request.ids,
-            seed=request.seed,
-            policy=request.policy,
-            halt_on_name=request.halt_on_name,
-        )
-        TIMERS.stop("seeding", timer_started)
-        monitor = _build_monitor(request)
-        metrics = SimulationMetrics()
-        round_no = 0
-        while engine.running_count:
-            if round_no >= request.max_rounds:
-                raise RoundLimitExceeded(request.max_rounds, engine.running_count)
-            round_no += 1
-            senders = engine.running_count
-            timer_started = TIMERS.start()
-            engine.step(round_no)
-            TIMERS.stop("movement", timer_started)
-            if monitor is not None:
-                from repro.monitor.invariants import observe_balls_engine
-
-                timer_started = TIMERS.start()
-                observe_balls_engine(monitor, engine, round_no)
-                TIMERS.stop("monitor", timer_started)
-                _abort_on_deadlock(monitor)
-            # Failure-free: every running process broadcasts, every
-            # running process receives every broadcast (self included).
-            metrics.record(
-                RoundMetrics(
-                    round_no=round_no,
-                    messages_sent=senders,
-                    messages_delivered=senders * senders,
-                    crashes=0,
-                    alive_after=n,
-                    running_after=engine.running_count,
-                )
+            engine = ColumnarBallsEngine(
+                request.ids,
+                seed=request.seed,
+                policy=request.policy,
+                halt_on_name=request.halt_on_name,
             )
-            if request.trace is not None:
-                _record_cheap_round(
-                    request.trace,
-                    engine,
-                    round_no,
-                    sent=senders,
-                    crashes=0,
-                    running=engine.running_count,
-                )
-        labels = engine.labels
-        decisions = {
-            pid: engine.decision[j] for j, pid in enumerate(labels)
-        }
-        result = SimulationResult(
-            rounds=round_no,
-            decisions=decisions,
-            crashed=frozenset(),
-            halted=frozenset(labels),
-            metrics=metrics,
-            trace=request.trace,
-            participants=frozenset(labels),
-        )
-        return KernelRun(
-            result=result,
-            last_round_named=engine.last_round_named(),
-            phase_stats=[],
-            kernel=self.name,
-            violations=[] if monitor is None else monitor.violations,
-        )
-
-    # ---------------------------------------------------------- with crashes
-    def _run_with_adversary(self, request: KernelRequest) -> KernelRun:
-        from repro.core.columnar import ColumnarCrashEngine
-
-        timer_started = TIMERS.start()
-        engine = ColumnarCrashEngine(
-            request.ids,
-            seed=request.seed,
-            policy=request.policy,
-            halt_on_name=request.halt_on_name,
-            adversary=request.adversary,
-            crash_budget=request.crash_budget,
-        )
+        else:
+            engine = ColumnarCrashEngine(
+                request.ids,
+                seed=request.seed,
+                policy=request.policy,
+                halt_on_name=request.halt_on_name,
+                adversary=adversary,
+                crash_budget=request.crash_budget,
+            )
         TIMERS.stop("seeding", timer_started)
         monitor = _build_monitor(request)
         metrics = SimulationMetrics()
@@ -235,15 +174,7 @@ class ColumnarKernel(SimulationKernel):
                 )
             )
             if request.trace is not None:
-                _record_cheap_round(
-                    request.trace,
-                    engine,
-                    round_no,
-                    sent=engine.last_sent,
-                    crashes=engine.last_crashes,
-                    running=engine.last_running,
-                    omitters=engine.last_omitters,
-                )
+                _record_cheap_round(request.trace, engine, round_no)
         labels = engine.labels
         decisions = {
             pid: engine.decision[j] for j, pid in enumerate(labels)
@@ -272,10 +203,7 @@ class ColumnarKernel(SimulationKernel):
         )
 
 
-def _record_cheap_round(
-    trace, engine, round_no: int, *, sent: int, crashes: int, running: int,
-    omitters=(),
-) -> None:
+def _record_cheap_round(trace, engine, round_no: int) -> None:
     """Append one round's cheap events from the engine's flat arrays.
 
     Event order within a round is fixed (crash, omit, name, halt, pos,
@@ -284,12 +212,10 @@ def _record_cheap_round(
     layout, not equivalence with the reference stream.
     """
     labels = engine.labels
-    round_crashed = getattr(engine, "round_crashed", None)
-    if round_crashed is not None:
-        for j, crashed_at in enumerate(round_crashed):
-            if crashed_at == round_no:
-                trace.record(round_no, "crash", pid=labels[j])
-    for j in omitters:
+    for j, crashed_at in enumerate(engine.round_crashed):
+        if crashed_at == round_no:
+            trace.record(round_no, "crash", pid=labels[j])
+    for j in engine.last_omitters:
         trace.record(round_no, "omit", pid=labels[j])
     for j, named_at in enumerate(engine.round_named):
         if named_at == round_no:
@@ -300,7 +226,13 @@ def _record_cheap_round(
                 round_no, "halt", pid=labels[j], decision=engine.decision[j]
             )
     trace.record(round_no, "pos", nodes=engine.positions())
-    trace.record(round_no, "round", sent=sent, crashes=crashes, running=running)
+    trace.record(
+        round_no,
+        "round",
+        sent=engine.last_sent,
+        crashes=engine.last_crashes,
+        running=engine.last_running,
+    )
 
 
 def _build_monitor(request: KernelRequest):

@@ -1,16 +1,24 @@
 """The vectorized kernel: a stacked cell of trials as one array program.
 
-Wraps :class:`repro.core.vectorized.VectorizedCellEngine` in two shapes:
+Wraps the two stacked engines of :mod:`repro.core.vectorized`
+(:class:`~repro.core.vectorized.VectorizedCellEngine`, failure-free, and
+:class:`~repro.core.vectorized.VectorizedCrashEngine`, certified crash
+adversaries) in two shapes:
 
 * :class:`VectorizedKernel` — the :class:`~repro.sim.kernel.SimulationKernel`
   face, so ``kernel="vectorized"`` works anywhere a kernel name does
   (``run_renaming``, trial specs, the CLI).  A single run is just a
   one-trial stack; the payoff comes from the second shape.
 * :func:`run_stacked_cell` — the cell-granular entry point used by
-  :mod:`repro.sim.batch`: all ``T`` failure-free trials of one
-  scenario-matrix cell execute as one vectorized pass, amortizing the
+  :mod:`repro.sim.batch`: ``T`` trials of one cell shape, each with its
+  own adversary, execute as one vectorized pass, amortizing the
   interpreter, the topology, and the RNG machinery across the whole
   cell instead of paying them per trial.
+
+Both engines fill the same per-ball and per-round columns (failure-free
+is their zero-crash case), so one result type, :class:`StackedCellRun`,
+reads either: the per-trial results, the per-trial round-limit errors
+and a vectorized spec screen.
 
 Everything the stack produces is bit-for-bit what the columnar (and
 hence reference) kernel produces trial by trial — same
@@ -26,14 +34,14 @@ with an install hint.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence, Union
 
 from repro.adversary.certification import certification_failure
 from repro.adversary.none import NoFailures
 from repro.core.config import BallsIntoLeavesConfig
 from repro.core.instrumentation import TIMERS
 from repro.core.mt19937 import HAVE_NUMPY
-from repro.errors import ConfigurationError, RoundLimitExceeded
+from repro.errors import ConfigurationError, RoundLimitExceeded, SpecViolation
 from repro.sim.checker import RenamingSpec, check_renaming
 from repro.sim.kernel import KernelRequest, KernelRun, SimulationKernel
 from repro.sim.metrics import RoundMetrics, SimulationMetrics
@@ -53,10 +61,12 @@ def vectorized_available() -> bool:
 class StackedCellRun:
     """Outcome of one stacked cell: per-trial results, columnar layout.
 
-    Scalar accessors (:meth:`result`, :meth:`metrics`) materialize the
-    exact per-trial objects of the scalar kernels; the batch layer reads
-    the flat arrays directly so a 100-trial cell never builds what it
-    does not need.
+    Reads either stacked engine through their one result surface — a
+    failure-free cell is the zero-crash case of the same per-ball and
+    per-round columns.  Scalar accessors (:meth:`result`,
+    :meth:`metrics`, :meth:`trace`) materialize the exact per-trial
+    objects of the scalar kernels; the batch layer reads the flat arrays
+    directly so a 100-trial cell never builds what it does not need.
     """
 
     def __init__(self, engine, seeds: Sequence[int], monitor=None) -> None:
@@ -64,155 +74,15 @@ class StackedCellRun:
         self._monitor = monitor
         self.seeds = list(seeds)
         self.labels = engine.labels
-        self.n = engine.n
-        self.trials = engine.trials
-        self.rounds = engine.rounds
-        #: (T, n) decided names, label-rank order.
-        self.decisions = engine.decision.reshape(engine.trials, engine.n)
-        self.round_named = engine.round_named.reshape(engine.trials, engine.n)
-        senders = np.stack(engine.round_senders) if engine.round_senders else (
-            np.zeros((0, engine.trials), dtype=np.int64)
-        )
-        #: (T,) total broadcasts / deliveries, matching the failure-free
-        #: metrics rule (every running sender reaches every running
-        #: process, itself included).
-        self.messages_sent = senders.sum(axis=0, dtype=np.int64)
-        self.messages_delivered = (
-            (senders.astype(np.int64) ** 2).sum(axis=0, dtype=np.int64)
-        )
-        self._senders = senders
-        self._running_after = (
-            np.stack(engine.round_running_after)
-            if engine.round_running_after
-            else np.zeros((0, engine.trials), dtype=np.int64)
-        )
-        self._participants = frozenset(self.labels)
-
-    def last_round_named(self, t: int) -> Optional[int]:
-        """Latest naming round of trial ``t``."""
-        return self._engine.last_round_named(t)
-
-    def violations(self, t: int) -> list:
-        """Trial ``t``'s monitor findings ([] when monitoring was off)."""
-        if self._monitor is None:
-            return []
-        return self._monitor.violations(t)
-
-    def metrics(self, t: int) -> SimulationMetrics:
-        """Trial ``t``'s per-round metrics, as the scalar kernels record them."""
-        metrics = SimulationMetrics()
-        n = self.n
-        for r in range(int(self.rounds[t])):
-            sent = int(self._senders[r, t])
-            metrics.record(
-                RoundMetrics(
-                    round_no=r + 1,
-                    messages_sent=sent,
-                    messages_delivered=sent * sent,
-                    crashes=0,
-                    alive_after=n,
-                    running_after=int(self._running_after[r, t]),
-                )
-            )
-        return metrics
-
-    def result(self, t: int) -> SimulationResult:
-        """Trial ``t``'s full :class:`SimulationResult` (bit-identical)."""
-        decisions = dict(zip(self.labels, self.decisions[t].tolist()))
-        return SimulationResult(
-            rounds=int(self.rounds[t]),
-            decisions=decisions,
-            crashed=frozenset(),
-            halted=self._participants,
-            metrics=self.metrics(t),
-            trace=None,
-            participants=self._participants,
-        )
-
-    def trace(self, t: int, sink: Optional[Trace] = None) -> Trace:
-        """Trial ``t``'s cheap trace, materialized from the stack's arrays.
-
-        Zero per-round capture cost: ``round_named``/``round_halted``
-        persist per ball and the metrics rows per round, so the event
-        stream is reconstructed post-hoc — and lazily, unless a ``sink``
-        is supplied: the per-event objects are only built for trials
-        whose timeline is actually read (the same pay-per-read contract
-        as :meth:`result`).  Carries the same vocabulary as the columnar
-        cheap trace minus the per-round ``pos`` snapshots (the stacked
-        engine's positions are transient).
-        """
-        if sink is None:
-            return Trace(lambda trace: self._decode_trace(t, trace))
-        self._decode_trace(t, sink)
-        return sink
-
-    def _decode_trace(self, t: int, trace: Trace) -> None:
-        n = self.n
-        labels = self.labels
-        named = self.round_named[t].tolist()
-        halted = self._engine.round_halted.reshape(self.trials, n)[t].tolist()
-        decisions = self.decisions[t].tolist()
-        named_by: dict = {}
-        halted_by: dict = {}
-        for j in range(n):
-            if named[j] >= 0:
-                named_by.setdefault(named[j], []).append(j)
-            if halted[j] >= 0:
-                halted_by.setdefault(halted[j], []).append(j)
-        for r in range(1, int(self.rounds[t]) + 1):
-            for j in named_by.get(r, ()):
-                trace.record(r, "name", pid=labels[j], name=decisions[j])
-            for j in halted_by.get(r, ()):
-                trace.record(r, "halt", pid=labels[j], decision=decisions[j])
-            trace.record(
-                r,
-                "round",
-                sent=int(self._senders[r - 1, t]),
-                crashes=0,
-                running=int(self._running_after[r - 1, t]),
-            )
-
-    def check(self) -> None:
-        """Renaming-spec check for every trial, vectorized.
-
-        Termination is structural (the stack only returns when every
-        ball halted), so validity + uniqueness reduce to: each trial's
-        decisions are a permutation of ``0..n-1``.  A violating trial is
-        re-checked through :func:`check_renaming` so the raised
-        :class:`~repro.errors.SpecViolation` carries the exact scalar
-        wording.
-        """
-        dec = self.decisions
-        expected = np.arange(self.n, dtype=dec.dtype)
-        ok = (np.sort(dec, axis=1) == expected).all(axis=1)
-        if bool(ok.all()):
-            return
-        bad = int(np.flatnonzero(~ok)[0])
-        check_renaming(self.result(bad), RenamingSpec(n=self.n))
-        raise AssertionError(  # pragma: no cover - checker always raises
-            f"vectorized checker flagged trial {bad} but check_renaming passed"
-        )
-
-
-class StackedCrashCellRun:
-    """Outcome of one stacked *crash* cell: per-trial crash results.
-
-    Same accessor contract as :class:`StackedCellRun`, plus the crash
-    surfaces: per-trial crash/halt sets, real per-round metrics, and the
-    :attr:`overrun` flags a caller turns back into the per-trial
-    :class:`~repro.errors.RoundLimitExceeded` the scalar loop raises.
-    """
-
-    def __init__(self, engine, seeds: Sequence[int]) -> None:
-        self._engine = engine
-        self.seeds = list(seeds)
-        self.labels = engine.labels
         self.n = n = engine.n
         self.trials = T = engine.trials
         self.rounds = engine.rounds
         self.limit = engine.max_rounds
+        #: (T,) trials stopped at the round limit, with the running count
+        #: a per-trial kernel's RoundLimitExceeded would carry.
         self.overrun = engine.overrun
         self.running_at_limit = engine.running_at_limit
+        #: (T, n) decided names (-1 = undecided), label-rank order.
         self.decisions = engine.decision.reshape(T, n)
         self.round_named = engine.round_named.reshape(T, n)
         self.crashed = engine.crashed.reshape(T, n)
@@ -243,11 +113,19 @@ class StackedCrashCellRun:
         return self._engine.last_round_named(t)
 
     def violations(self, t: int) -> list:
-        """Stacked crash cells run unmonitored (gated by the kernel)."""
-        return []
+        """Trial ``t``'s monitor findings ([] when monitoring was off)."""
+        if self._monitor is None:
+            return []
+        return self._monitor.violations(t)
+
+    def round_limit_error(self, t: int) -> Optional[RoundLimitExceeded]:
+        """The error a per-trial kernel raises for trial ``t``'s overrun."""
+        if not bool(self.overrun[t]):
+            return None
+        return RoundLimitExceeded(self.limit, int(self.running_at_limit[t]))
 
     def metrics(self, t: int) -> SimulationMetrics:
-        """Trial ``t``'s per-round metrics, as the columnar loop records."""
+        """Trial ``t``'s per-round metrics, as the scalar kernels record them."""
         metrics = SimulationMetrics()
         for r in range(int(self.rounds[t])):
             metrics.record(
@@ -263,7 +141,7 @@ class StackedCrashCellRun:
         return metrics
 
     def result(self, t: int) -> SimulationResult:
-        """Trial ``t``'s :class:`SimulationResult`, columnar-identical."""
+        """Trial ``t``'s full :class:`SimulationResult` (bit-identical)."""
         row = self.decisions[t].tolist()
         decisions = {
             pid: (name if name >= 0 else None)
@@ -286,14 +164,16 @@ class StackedCrashCellRun:
         )
 
     def trace(self, t: int, sink: Optional[Trace] = None) -> Trace:
-        """Trial ``t``'s cheap trace (crash vocabulary, post-hoc).
+        """Trial ``t``'s cheap trace, materialized from the stack's arrays.
 
-        Crash rounds come from the engine's ``round_crashed`` column;
-        naming/halting from the persistent per-ball round arrays; the
-        per-round aggregates from the same metrics rows ``metrics(t)``
-        reads — so the stream is bit-consistent with the per-trial
-        kernels by the existing differential guarantee.  Lazy unless a
-        ``sink`` is supplied (see :meth:`StackedCellRun.trace`).
+        Zero per-round capture cost: ``round_crashed``/``round_named``/
+        ``round_halted`` persist per ball and the metrics rows per round,
+        so the event stream is reconstructed post-hoc — and lazily,
+        unless a ``sink`` is supplied: the per-event objects are only
+        built for trials whose timeline is actually read (the same
+        pay-per-read contract as :meth:`result`).  Carries the same
+        vocabulary as the columnar cheap trace minus the per-round
+        ``pos`` snapshots (the stacked engines' positions are transient).
         """
         if sink is None:
             return Trace(lambda trace: self._decode_trace(t, trace))
@@ -332,16 +212,18 @@ class StackedCrashCellRun:
                 running=int(self._running[r - 1, t]),
             )
 
-    def check_trial(self, t: int) -> None:
-        """Renaming-spec check of one trial with the scalar wording."""
-        check_renaming(self.result(t), RenamingSpec(n=self.n))
+    def check(self) -> List[Optional[SpecViolation]]:
+        """Renaming-spec check for every trial, vectorized.
 
-    def spec_ok(self) -> "np.ndarray":
-        """(T,) vectorized spec screen; flagged trials re-check scalar.
-
-        A trial passes iff every correct (non-crashed) process decided a
-        distinct name in ``0..n-1`` and halted — the four
-        :func:`check_renaming` conditions over correct processes.
+        Returns one entry per trial: None when it passes, else the
+        :class:`~repro.errors.SpecViolation` :func:`check_renaming`
+        raises for it.  A trial passes iff every correct (non-crashed)
+        process decided a distinct name in ``0..n-1`` and halted — the
+        four :func:`check_renaming` conditions over correct processes;
+        only flagged trials are re-checked through the scalar checker,
+        so the errors carry its exact wording.  Overrun trials are left
+        to :meth:`round_limit_error` (the per-trial kernels stop there
+        before checking anything).
         """
         correct = ~self.crashed
         dec = self.decisions
@@ -357,19 +239,19 @@ class StackedCrashCellRun:
                 tg * self.n + names, minlength=self.trials * self.n
             ).reshape(self.trials, self.n)
             ok &= (counts <= 1).all(axis=1)
-        return ok
-
-    def check(self) -> None:
-        """Spec check for every trial; first violation raises scalar-worded."""
-        ok = self.spec_ok()
-        if bool(ok.all()):
-            return
-        bad = int(np.flatnonzero(~ok)[0])
-        self.check_trial(bad)
-        raise AssertionError(  # pragma: no cover - checker always raises
-            f"vectorized crash screen flagged trial {bad} but "
-            "check_renaming passed"
-        )
+        ok |= self.overrun
+        found: List[Optional[SpecViolation]] = [None] * self.trials
+        for t in np.flatnonzero(~ok).tolist():
+            try:
+                check_renaming(self.result(t), RenamingSpec(n=self.n))
+            except SpecViolation as violation:
+                found[t] = violation
+            else:  # pragma: no cover - the screen only flags real violations
+                raise AssertionError(
+                    f"vectorized spec screen flagged trial {t} but "
+                    "check_renaming passed"
+                )
+        return found
 
 
 def run_stacked_cell(
@@ -382,15 +264,17 @@ def run_stacked_cell(
     max_rounds: Optional[int] = None,
     monitor: str = "off",
     adversaries: Optional[Sequence] = None,
-):
+) -> StackedCellRun:
     """Execute ``len(seeds)`` trials of one cell as one stacked pass.
 
-    Without ``adversaries`` (or with every entry None/:class:`NoFailures`)
-    this is the failure-free stack returning :class:`StackedCellRun`.
-    With any crashing adversary it builds the crash engine instead and
-    returns :class:`StackedCrashCellRun`; entry ``t`` of ``adversaries``
-    is the already-built instance driving trial ``t`` (the caller owns
-    seed-faithful construction, exactly like the scalar kernels).
+    Entry ``t`` of ``adversaries`` is the already-built instance driving
+    trial ``t`` (the caller owns seed-faithful construction, exactly
+    like the scalar kernels); every entry must pass the vectorized
+    kernel's certification gate (certified type, crash faults only),
+    else :class:`~repro.errors.ConfigurationError`.  With any crashing
+    adversary the cell runs on the crash engine, otherwise (no
+    ``adversaries``, or every entry None/:class:`NoFailures`) on the
+    failure-free engine; both return a :class:`StackedCellRun`.
     """
     n = len(ids)
     if crash_budget is not None and not 0 <= crash_budget < n:
@@ -398,12 +282,19 @@ def run_stacked_cell(
             f"crash budget must satisfy 0 <= t < n; got t={crash_budget}, n={n}"
         )
     limit = max_rounds if max_rounds is not None else default_round_limit(n, crash_budget)
-    crashy = adversaries is not None and any(
+    adversaries = [None] * len(seeds) if adversaries is None else list(adversaries)
+    for t, adversary in enumerate(adversaries):
+        failure = certification_failure(adversary, supported=("crash",))
+        if failure is not None:
+            raise ConfigurationError(f"trial {t} cannot stack: {failure}")
+    crashy = any(
         adv is not None and type(adv) is not NoFailures for adv in adversaries
     )
-    if crashy:
-        from repro.core.vectorized import VectorizedCrashEngine
+    from repro.core.vectorized import VectorizedCellEngine, VectorizedCrashEngine
 
+    engine: Union[VectorizedCellEngine, VectorizedCrashEngine]
+    observer = None
+    if crashy:
         if monitor != "off":
             raise ConfigurationError(
                 "stacked crash cells run unmonitored; per-trial kernels "
@@ -415,7 +306,7 @@ def run_stacked_cell(
             list(seeds),
             policy=policy,
             halt_on_name=halt_on_name,
-            adversaries=list(adversaries),
+            adversaries=adversaries,
             crash_budget=budget,
             max_rounds=limit,
         )
@@ -425,24 +316,21 @@ def run_stacked_cell(
         timer_started = TIMERS.start()
         engine.run()
         TIMERS.stop("movement", timer_started)
-        return StackedCrashCellRun(engine, seeds)
-    from repro.core.vectorized import VectorizedCellEngine
+    else:
+        engine = VectorizedCellEngine(
+            ids,
+            list(seeds),
+            policy=policy,
+            halt_on_name=halt_on_name,
+            max_rounds=limit,
+        )
+        if monitor != "off":
+            from repro.monitor.invariants import StackedMonitor
 
-    engine = VectorizedCellEngine(
-        ids,
-        list(seeds),
-        policy=policy,
-        halt_on_name=halt_on_name,
-        max_rounds=limit,
-    )
-    observer = None
-    if monitor != "off":
-        from repro.monitor.invariants import StackedMonitor
-
-        observer = StackedMonitor(engine)
-    timer_started = TIMERS.start()
-    engine.run(observer=_timed_monitor(observer))
-    TIMERS.stop("movement", timer_started)
+            observer = StackedMonitor(engine)
+        timer_started = TIMERS.start()
+        engine.run(observer=_timed_monitor(observer))
+        TIMERS.stop("movement", timer_started)
     return StackedCellRun(engine, seeds, monitor=observer)
 
 
@@ -520,8 +408,6 @@ class VectorizedKernel(SimulationKernel):
                 f"crash budget must satisfy 0 <= t < n; "
                 f"got t={request.crash_budget}, n={n}"
             )
-        adversary = request.adversary
-        crashy = adversary is not None and type(adversary) is not NoFailures
         cell = run_stacked_cell(
             request.ids,
             [request.seed],
@@ -530,12 +416,11 @@ class VectorizedKernel(SimulationKernel):
             crash_budget=request.crash_budget,
             max_rounds=request.max_rounds,
             monitor=request.monitor,
-            adversaries=[adversary] if crashy else None,
+            adversaries=[request.adversary],
         )
-        if crashy and bool(cell.overrun[0]):
-            raise RoundLimitExceeded(
-                request.max_rounds, int(cell.running_at_limit[0])
-            )
+        overrun = cell.round_limit_error(0)
+        if overrun is not None:
+            raise overrun
         if request.trace is not None:
             cell.trace(0, sink=request.trace)
         return KernelRun(

@@ -20,7 +20,6 @@ from repro.ids import sparse_ids
 from repro.monitor.invariants import (
     STALL_WINDOW,
     RunMonitor,
-    observe_balls_engine,
     observe_crash_engine,
 )
 from repro.sim.batch import AdversarySpec, TrialSpec, run_trial
@@ -65,7 +64,7 @@ class TestSeededColumnarMutations:
         last = run_to_completion(engine)
         engine.decision[4] = engine.decision[2]
         monitor = fresh_monitor(ids)
-        observe_balls_engine(monitor, engine, last)
+        observe_crash_engine(monitor, engine, last)
         assert [v.invariant for v in monitor.violations] == ["uniqueness"]
         violation = monitor.violations[0]
         assert violation.round_no == last and violation.ball == 4
@@ -78,7 +77,7 @@ class TestSeededColumnarMutations:
         last = run_to_completion(engine)
         engine.decision[0] = N + 7
         monitor = fresh_monitor(ids)
-        observe_balls_engine(monitor, engine, last)
+        observe_crash_engine(monitor, engine, last)
         assert [v.invariant for v in monitor.violations] == ["namespace"]
         assert monitor.violations[0].ball == 0
         assert f"outside 0..{N - 1}" in monitor.violations[0].detail
@@ -91,7 +90,7 @@ class TestSeededColumnarMutations:
         engine.pos[0] = leaves[0]
         engine.pos[1] = leaves[0]
         monitor = fresh_monitor(ids)
-        observe_balls_engine(monitor, engine, 2)
+        observe_crash_engine(monitor, engine, 2)
         found = [v for v in monitor.violations if v.invariant == "leaf-capacity"]
         assert len(found) == 1
         assert found[0].node == leaves[0] and found[0].round_no == 2
@@ -107,7 +106,7 @@ class TestSeededColumnarMutations:
         engine.halted[3] = True
         engine.pos[3] = inner[0]
         monitor = fresh_monitor(ids, halt_on_name=True)
-        observe_balls_engine(monitor, engine, 2)
+        observe_crash_engine(monitor, engine, 2)
         found = [v for v in monitor.violations if v.invariant == "retention"]
         assert len(found) == 1
         assert found[0].ball == 3 and found[0].node == inner[0]
@@ -147,7 +146,7 @@ class TestSeededColumnarMutations:
         # with balls still running — the monitor must call the deadlock
         # instead of spinning to the round limit.
         for round_no in range(2, 2 + STALL_WINDOW + 2):
-            observe_balls_engine(monitor, engine, round_no)
+            observe_crash_engine(monitor, engine, round_no)
         assert monitor.deadlocked
         stalls = [v for v in monitor.violations if v.invariant == "progress"]
         assert len(stalls) == 1

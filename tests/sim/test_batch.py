@@ -15,6 +15,7 @@ from repro.sim.batch import (
     as_executor,
     derived_trial_seed,
     legacy_trial_seeds,
+    plan_tasks,
     run_batch,
     run_trial,
 )
@@ -132,6 +133,20 @@ class TestExecutors:
         with pytest.raises(ConfigurationError, match="unknown executor"):
             as_executor("gpu")
 
+    def test_as_executor_rejects_objects_without_run_tasks(self):
+        """A spec-mapping ``run`` alone would silently bypass stacking."""
+
+        class SpecMapper:
+            name = "legacy"
+
+            def run(self, specs):  # pragma: no cover - never called
+                return [run_trial(spec) for spec in specs]
+
+        with pytest.raises(ConfigurationError, match="run_tasks"):
+            as_executor(SpecMapper())
+        with pytest.raises(ConfigurationError, match="run_tasks"):
+            run_batch(ScenarioMatrix.build(["flood"], [4]), executor=SpecMapper())
+
     def test_worker_default_and_validation(self):
         assert MultiprocessingExecutor().workers >= 1
         with pytest.raises(ConfigurationError):
@@ -139,8 +154,9 @@ class TestExecutors:
 
     def test_single_worker_falls_back_to_serial(self):
         matrix = ScenarioMatrix.build(["flood"], [4], trials=2)
-        serial = SerialExecutor().run(matrix.expand())
-        assert MultiprocessingExecutor(1).run(matrix.expand()) == serial
+        tasks = plan_tasks(matrix.expand())
+        serial = SerialExecutor().run_tasks(tasks)
+        assert MultiprocessingExecutor(1).run_tasks(tasks) == serial
 
 
 class TestBatchResult:

@@ -22,16 +22,18 @@ import itertools
 
 import pytest
 
-from repro.errors import RoundLimitExceeded
+from repro.errors import ConfigurationError, RoundLimitExceeded
 from repro.ids import sparse_ids
 from repro.search.schedule import CrashEvent, Schedule
+from repro.search.strategies import HuntConfig, SearchStrategy, run_hunt
 from repro.sim.batch import (
     AdversarySpec,
+    ScenarioMatrix,
     TrialSpec,
     plan_tasks,
     run_batch,
+    run_cell,
     run_trial,
-    _run_crash_cell,
 )
 from repro.sim.runner import run_renaming
 from repro.sim.vectorized import run_stacked_cell, vectorized_available
@@ -84,8 +86,7 @@ def _crash_specs(algorithm, n, seeds, adversary, *, halt_on_name=False):
 def assert_stack_matches_per_trial(specs):
     """The stacked cell's rows == the per-trial columnar/auto rows."""
     per_trial = [run_trial(spec) for spec in specs]
-    adversaries = [spec.adversary.build(spec.seed) for spec in specs]
-    stacked = _run_crash_cell(specs, adversaries)
+    stacked = run_cell(specs)
     assert len(stacked) == len(per_trial)
     for want, got in zip(per_trial, stacked):
         for field in COMPARED_FIELDS:
@@ -114,8 +115,7 @@ class TestStackedCrashDifferential:
         seeds = [4301463716303469878 + k for k in range(4)]
         specs = _crash_specs("balls-into-leaves", 16, seeds, mined)
         assert_stack_matches_per_trial(specs)
-        adversaries = [spec.adversary.build(spec.seed) for spec in specs]
-        rows = _run_crash_cell(specs, adversaries)
+        rows = run_cell(specs)
         assert rows[0].rounds == 9
 
     def test_partial_receiver_schedules_bit_identical(self):
@@ -232,8 +232,8 @@ class TestCrashCellPlanning:
             for field in COMPARED_FIELDS:
                 assert getattr(got, field) == getattr(want, field)
 
-    def test_mixed_cells_stack_distinct_schedules(self, monkeypatch):
-        """The hunt's batching hint: same cell shape, different plans."""
+    def test_distinct_schedules_stack_as_one_cell(self, monkeypatch):
+        """A hunt generation: same cell shape, different plans."""
         monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
         specs = []
         for k in range(6):
@@ -245,15 +245,173 @@ class TestCrashCellPlanning:
                     capture_errors=True,
                 )
             )
-        assert len(plan_tasks(specs)) == 6  # six one-trial cells...
-        mixed = plan_tasks(specs, mixed=True)
-        assert len(mixed) == 1 and isinstance(mixed[0], tuple)  # ...one stack
-        batch = run_batch(specs, mixed_cells=True)
+        tasks = plan_tasks(specs)
+        assert len(tasks) == 1 and isinstance(tasks[0], tuple)
+        batch = run_batch(specs)
         per_trial = [run_trial(spec) for spec in specs]
         assert {trial.kernel for trial in batch.trials} == {"vectorized"}
         for want, got in zip(per_trial, batch.trials):
             for field in COMPARED_FIELDS:
                 assert getattr(got, field) == getattr(want, field)
+
+
+class _FixedGeneration(SearchStrategy):
+    """A hunt strategy scoring one fixed generation of schedules."""
+
+    name = "fixed"
+
+    def __init__(self, schedules):
+        self.schedules = schedules
+
+    def run(self, evaluator):
+        evaluator.evaluate(self.schedules)
+
+
+class TestPlanningBuilds:
+    """Planning builds adversaries only where a stack is possible."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        calls = []
+        original = AdversarySpec.build
+
+        def counting(self, seed):
+            calls.append(self)
+            return original(self, seed)
+
+        monkeypatch.setattr(AdversarySpec, "build", counting)
+        return calls
+
+    def test_below_floor_crash_group_builds_nothing(self, monkeypatch):
+        monkeypatch.delenv("REPRO_VEC_CRASH_MIN_STREAMS", raising=False)
+        calls = self._count_builds(monkeypatch)
+        specs = _crash_specs(
+            "balls-into-leaves", 9, [40 + k for k in range(8)],
+            "random:rate=0.25",
+        )
+        assert plan_tasks(specs) == specs  # 72 streams < the default floor
+        # A hunt-sized generation: 12 distinct schedules x 32 streams.
+        generation = [
+            TrialSpec(
+                algorithm="balls-into-leaves", n=32, seed=k,
+                adversary=Schedule.of(32, [CrashEvent(2, k, ())]).spec(),
+                check=False, capture_errors=True,
+            )
+            for k in range(12)
+        ]
+        assert plan_tasks(generation) == generation
+        assert calls == []
+
+    def test_above_floor_builds_once_per_distinct_adversary(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
+        calls = self._count_builds(monkeypatch)
+        specs = _crash_specs(
+            "balls-into-leaves", 9, range(4), "random:rate=0.25"
+        ) + _crash_specs("balls-into-leaves", 9, range(4), "sandwich")
+        plan_tasks(specs)
+        assert [spec.key for spec in calls] == ["random:rate=0.25", "sandwich"]
+
+
+@needs_numpy
+class TestMergedStackPaths:
+    def test_omit_schedules_never_stack_onto_the_crash_engine(self, monkeypatch):
+        """Mixed-family generations: each trial's own adversary decides.
+
+        A crash-only first schedule must not carry omit-carrying
+        candidates onto the crash-only stacked engine (which would drop
+        their omissions).
+        """
+        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
+        schedules = [
+            Schedule.of(10, [CrashEvent(2, 3, ())]),
+            Schedule.of(
+                10,
+                [
+                    CrashEvent(2, 4, (0, 1), kind="omit"),
+                    CrashEvent(4, 5, (), kind="omit"),
+                ],
+            ),
+            Schedule.of(10, [CrashEvent(3, 1, (2,), kind="omit")]),
+        ]
+        hunt = run_hunt(
+            HuntConfig(n=10, budget=3, seed=3, fault_family="mixed"),
+            _FixedGeneration(schedules),
+        )
+        rows = [evaluation.results[0] for evaluation in hunt.evaluations]
+        assert len(rows) == 3
+        assert sum(row.omissions for row in rows) > 0
+        for got in rows:
+            want = run_trial(got.spec)
+            for field in COMPARED_FIELDS + ("omissions",):
+                assert getattr(got, field) == getattr(want, field), (
+                    field,
+                    got.spec.adversary.key,
+                )
+
+    def test_run_stacked_cell_rejects_what_the_gate_rejects(self):
+        crash = Schedule.of(10, [CrashEvent(2, 3, ())]).spec()
+        omit = Schedule.of(10, [CrashEvent(2, 4, (), kind="omit")]).spec()
+        with pytest.raises(ConfigurationError, match="omission"):
+            run_stacked_cell(
+                sparse_ids(10), [1, 2], policy="random",
+                adversaries=[crash.build(1), omit.build(2)],
+            )
+        specs = _crash_specs("balls-into-leaves", 10, [1], crash) + (
+            _crash_specs("balls-into-leaves", 10, [2], omit)
+        )
+        with pytest.raises(ConfigurationError, match="omission"):
+            run_cell(specs)
+
+    def test_adjacent_same_name_cells_plan_as_one_stack(self):
+        """Two 640-stream cells merge into one 1280-stream stack."""
+        matrix = ScenarioMatrix.build(
+            ["balls-into-leaves"], [16],
+            ["random:rate=0.1", "random:rate=0.3"],
+            trials=40, base_seed=7, seed_mode="derived",
+        )
+        specs = matrix.expand()
+        tasks = plan_tasks(specs)
+        assert len(tasks) == 1 and len(tasks[0]) == 80
+        batch = run_batch(matrix)
+        assert {trial.kernel for trial in batch.trials} == {"vectorized"}
+        for spec, got in zip(specs, batch.trials):
+            want = run_trial(spec).to_row()
+            got_row = got.to_row()
+            del want["kernel"], got_row["kernel"]
+            assert got_row == want
+
+    def test_scalar_accessors_on_a_mixed_zero_crash_stack(self):
+        """result/metrics/trace(t) of crashing and zero-crash trials."""
+        ids = sparse_ids(12)
+        seeds = [31 + k for k in range(4)]
+        specs = [
+            AdversarySpec.parse("random:rate=0.3"),
+            AdversarySpec(),
+            AdversarySpec.parse("sandwich"),
+            AdversarySpec(),
+        ]
+        cell = run_stacked_cell(
+            ids, seeds, policy="random",
+            adversaries=[spec.build(seed) for spec, seed in zip(specs, seeds)],
+        )
+        assert cell.failures.tolist()[1] == cell.failures.tolist()[3] == 0
+        assert cell.failures.sum() > 0
+        for t, (spec, seed) in enumerate(zip(specs, seeds)):
+            run = run_renaming(
+                "balls-into-leaves", ids, seed=seed,
+                adversary=spec.build(seed), kernel="columnar", trace="cheap",
+            )
+            assert cell.metrics(t) == run.metrics
+            assert cell.result(t).decisions == run.result.decisions
+            assert cell.result(t).crashed == run.result.crashed
+            assert cell.result(t).halted == run.result.halted
+            assert cell.result(t).rounds == run.result.rounds
+            expected = [
+                (e.round_no, e.kind, e.data) for e in run.trace if e.kind != "pos"
+            ]
+            got = [(e.round_no, e.kind, e.data) for e in cell.trace(t)]
+            assert got == expected
+        assert cell.check() == [None] * len(seeds)
 
 
 @needs_numpy
