@@ -370,8 +370,8 @@ def test_bench_kernel_writes_json(capsys):
 
         import numpy as _np
 
-        from repro.core.mt19937 import seed_states
-        from repro.core.vectorized import derive_ball_seeds
+        from repro.core.mt19937 import MTStreamBank
+        from repro.core.vectorized import derive_ball_seeds, vectorized_topology
         from repro.ids import sparse_ids as _sparse_ids
         from repro.sim.rng import derive_seed
 
@@ -405,8 +405,16 @@ def test_bench_kernel_writes_json(capsys):
         scalar_mt_s, _ = _best_of(
             2, lambda: [Random(seed) for seed in scalar_seeds]
         )
-        seed_states(batched)  # warm the pooled state buffer
-        vector_mt_s, _ = _best_of(3, lambda: seed_states(batched))
+        # The engines' bank: seeding plus each stream's draw prefix.
+        block = max(4, vectorized_topology(rng_n).height)
+        vector_mt_s, bank = _best_of(
+            3, lambda: MTStreamBank(batched, block=block)
+        )
+        bank_bytes = sum(
+            value.nbytes
+            for value in vars(bank).values()
+            if isinstance(value, _np.ndarray)
+        )
         rng_share = [
             {
                 "workload": "rng-share",
@@ -415,9 +423,11 @@ def test_bench_kernel_writes_json(capsys):
                 "sha_batched_openssl_s": round(batched_sha_s, 6),
                 "sha_batched_lanes_s": round(lanes_sha_s, 6),
                 "mt_seed_scalar_c_s": round(scalar_mt_s, 6),
-                "mt_seed_vectorized_s": round(vector_mt_s, 6),
+                "mt_bank_build_s": round(vector_mt_s, 6),
+                "mt_bank_prefix": bank.prefix,
+                "mt_bank_bytes_per_stream": round(bank_bytes / streams, 1),
                 "sha_batch_speedup": round(scalar_sha_s / batched_sha_s, 2),
-                "mt_seed_ratio_vs_c": round(vector_mt_s / scalar_mt_s, 2),
+                "mt_bank_ratio_vs_c": round(vector_mt_s / scalar_mt_s, 2),
             }
         ]
 
@@ -433,7 +443,9 @@ def test_bench_kernel_writes_json(capsys):
             "via run_batch, columnar per-trial vs one vectorized stack; "
             "crash_trial_cells = whole crash cells on the stacked crash "
             "engine vs per-trial columnar; rng_share = scalar vs "
-            "vectorized seed derivation and MT seeding"
+            "vectorized seed derivation, and C Random(seed) seeding vs "
+            "building the stacked MTStreamBank (seeding plus every "
+            "stream's draw prefix) with its resident bytes per stream"
         ),
         "version": __version__,
         "python": platform.python_version(),
@@ -495,7 +507,8 @@ def test_bench_kernel_writes_json(capsys):
                 f"batched {cell['sha_batched_openssl_s']:.3f}s  "
                 f"lanes {cell['sha_batched_lanes_s']:.3f}s | "
                 f"mt seed C {cell['mt_seed_scalar_c_s']:.3f}s  "
-                f"vectorized {cell['mt_seed_vectorized_s']:.3f}s"
+                f"bank {cell['mt_bank_build_s']:.3f}s "
+                f"({cell['mt_bank_bytes_per_stream']:.0f} B/stream)"
             )
         print(f"[written to {OUTPUT}]")
 

@@ -19,7 +19,11 @@ Knobs
     column slices); this is wall-clock hygiene only.
 ``REPRO_VEC_MAX_STREAMS``
     Stream budget (trials x n) of one stacked vectorized call; bounds
-    resident MT state (~2.5 KB per stream).
+    the resident stream bank (each stream's draw prefix, cursor and
+    seed: 256 B per stream at n=1024) and the stacked engine's per-ball
+    columns — the n=1024 sweep peaks at ~263 MB for 131072 streams
+    (~2 KB per stream).  The bank's construction scratch is per thread,
+    not per stream.
 ``REPRO_VEC_CRASH_MIN_STREAMS``
     Minimum stream count below which a *crash* cell stays on the
     per-trial columnar path (the stacked crash engine's fixed per-round

@@ -90,6 +90,22 @@ class StageTimers:
         stats.calls += 1
         stats.seconds += elapsed
 
+    def split(self, started: float, weights: Dict[str, float]) -> None:
+        """Attribute the time since ``started`` across several stages,
+        in proportion to ``weights`` (for stages that ran interleaved on
+        worker threads, whose own durations overlap in wall time)."""
+        if not self.enabled:
+            return
+        # repro: lint-ok[D102] wall-clock telemetry only; stage timings never feed a result row or an RNG
+        elapsed = time.perf_counter() - started
+        total = sum(weights.values())
+        for stage, weight in weights.items():
+            stats = self.stages.get(stage)
+            if stats is None:
+                stats = self.stages[stage] = StageStats()
+            stats.calls += 1
+            stats.seconds += elapsed * weight / total if total else 0.0
+
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """JSON-ready ``{stage: {calls, seconds}}`` in stage order."""
         ordered = [s for s in TELEMETRY_STAGES if s in self.stages]

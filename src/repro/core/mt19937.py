@@ -8,31 +8,45 @@ one Python object and one ``random()`` call per draw is exactly the
 interpreter cost it exists to amortize.
 
 :class:`MTStreamBank` therefore reimplements the generator as NumPy
-array passes over a ``(624, S)`` stacked state, one column per stream:
+array passes, one column per stream, and keeps only what the walks
+consume.  Balls-into-leaves finishes in O(log log n) rounds and a ball
+draws at most one coin per tree level it descends, so a stream uses a
+few dozen of the 312 doubles one MT19937 generation holds.  The bank is
+a *prefix*: a ``(P, S)`` float64 matrix holding the first ``P`` doubles
+of every stream (row ``d`` is every stream's ``d``-th draw), with ``P``
+a small multiple of the engines' ``block`` (the tree height).  Building
+it streams the columns through one bounded scratch buffer per thread,
+chunk by chunk:
 
 * seeding is CPython's ``init_by_array`` (the key is the seed's
-  little-endian 32-bit words) advanced for all streams per step, with
-  seeds batched *by key width* so unusual widths (sub-32-bit seeds,
-  giant integers) still seed vectorized instead of one stream at a
-  time;
-* output words come from *partial* twists — a run consumes a dozen or
-  two doubles per stream, so only the needed rows of the next
-  generation are ever computed;
+  little-endian 32-bit words) advanced for every column of the chunk
+  per step, with seeds batched *by key width* so unusual widths
+  (sub-32-bit seeds, giant integers) still seed vectorized instead of
+  one stream at a time;
+* only the first ``2P`` words of the first generation are twisted and
+  tempered, a few rows per pass so the pass stays cache-resident;
 * doubles are assembled exactly as CPython's ``random()`` does
   (``(a >> 5) * 2**26 + (b >> 6)`` over two consecutive words, divided
-  by ``2**53``).
+  by ``2**53``) straight into the chunk's columns of the prefix.
+
+No ``(624, S)`` state outlives construction.  A stream whose cursor
+reaches ``P`` (rare by the choice of ``P``) continues on the ground
+truth itself: a C ``random.Random(seed)`` advanced ``2P`` words, which
+stays exact through every later generation rollover.
 
 The seeding and twist passes are uint32 streams over independent
-columns, and NumPy releases the GIL, so both fan out across a thread
-pool when ``REPRO_VEC_THREADS`` (default: the CPU count; the CLI's
-``--threads`` sets it) resolves above 1 and the bank is wide enough to
-amortize the dispatch.  Columns are partitioned, never shared, so any
-thread count produces byte-identical streams; ``REPRO_VEC_THREADS=1``
-is exactly the serial pass.
+columns, and NumPy releases the GIL, so the chunks fan out across a
+thread pool when ``REPRO_VEC_THREADS`` (default: the CPU count; the
+CLI's ``--threads`` sets it) resolves above 1 and the bank is wide
+enough to amortize the dispatch.  Columns are partitioned, never
+shared, and every thread owns its scratch, so any thread count produces
+byte-identical streams; ``REPRO_VEC_THREADS=1`` is exactly the serial
+pass.
 
 Bit-identity with ``random.Random(seed).random()`` is asserted for
-every stream shape in ``tests/sim/test_mt19937_streams.py``; the
-vectorized kernel's differential suite then rests on it.
+every stream shape and draw count in
+``tests/sim/test_mt19937_streams.py``; the vectorized kernel's
+differential suite then rests on it.
 
 NumPy is an optional extra (``pip install .[fast]``): this module
 imports with :data:`HAVE_NUMPY` False when it is missing, and the
@@ -41,8 +55,7 @@ kernel layer degrades to the columnar engine.
 
 from __future__ import annotations
 
-import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, TypeVar, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +76,12 @@ try:  # Same C base type the engines seed per ball (see core.columnar).
 except ImportError:  # pragma: no cover - CPython always has _random
     from random import Random as _MTRandom  # type: ignore[assignment]
 
+_R = TypeVar("_R")
+
+#: Stream seeds: ints, or the u64 array
+#: :func:`~repro.core.vectorized.derive_ball_seeds` builds.
+_Seeds = Union[Sequence[int], "np.ndarray"]
+
 #: MT19937 parameters (Matsumoto & Nishimura), as used by CPython.
 _N = 624
 _M = 397
@@ -70,46 +89,50 @@ _MATRIX_A = 0x9908B0DF
 _UPPER = 0x80000000
 _LOWER = 0x7FFFFFFF
 
+if HAVE_NUMPY:
+    _U32_UPPER = np.uint32(_UPPER)
+    _U32_LOWER = np.uint32(_LOWER)
+    _U32_MATRIX_A = np.uint32(_MATRIX_A)
+    _U32_TEMPER_B = np.uint32(0x9D2C5680)
+    _U32_TEMPER_C = np.uint32(0xEFC60000)
+    _U32_ONE, _U32_5, _U32_6, _U32_7, _U32_11, _U32_15, _U32_18, _U32_30 = (
+        np.uint32(k) for k in (1, 5, 6, 7, 11, 15, 18, 30)
+    )
+
 #: Doubles produced per generation (two 32-bit words per double).
 DOUBLES_PER_GENERATION = _N // 2
 
-#: Below this many columns per worker a thread dispatch costs more than
-#: the pass it would split; narrower banks stay serial whatever the
-#: configured thread count.
-MIN_STREAMS_PER_THREAD = 8192
+#: Prefix doubles kept per stream, in units of the bank's ``block``.
+#: Engines pass the tree height; on the n=1024 sweep (height 10) the
+#: prefix of 30 covers all but ~100 of 131072 streams (max draw 38,
+#: mean 11.9), and those few continue on the scalar fallback.
+PREFIX_BLOCKS = 3
+
+#: Widest column chunk seeded and twisted per scratch pass (a
+#: ``(624, C)`` u32 buffer, 2.5 KB per column); a worker splits its
+#: columns into equal chunks no wider.  Each chunk pays ufunc dispatch
+#: on ~6000 seeding calls, so narrow chunks are slow: one thread builds
+#: 131072 streams in 0.38 s at 16384 columns, 0.35 s at 21846-24576 and
+#: 0.33 s at 32768 (2-core Xeon).  24576 keeps within 0.02 s of the
+#: widest measured chunk at three quarters of its scratch.
+CHUNK_STREAMS = 24576
+
+#: Words twisted, tempered and paired per pass (even): the few rows of
+#: each pass stay in L2 (4 rows: 0.06 s per 131072 streams, 16: 0.09 s).
+TWIST_ROWS = 4
+
+#: Fewest columns per worker before the build fans out.  Threads hand
+#: the GIL back and forth between ufunc calls, which only pays on wide
+#: calls: at 131072 streams two threads over 21846-wide chunks match one
+#: thread (0.36 s vs 0.35 s), and over 15360-wide chunks they lose
+#: (61440 streams: 0.46-0.50 s vs 0.37-0.39 s).  Two full chunks per
+#: worker keeps every threaded chunk at least 2/3 of ``CHUNK_STREAMS``.
+MIN_STREAMS_PER_THREAD = 2 * CHUNK_STREAMS
 
 _base_state_cache = None
 
 _pool = None
 _pool_workers = 0
-
-#: Scratch ``(624, S)`` state buffers, recycled across banks.  A sweep
-#: or hunt seeds thousands of equally-shaped banks back to back, and on
-#: this allocation pattern the kernel page-fault cost of a fresh 1/4 GB
-#: ``np.empty`` dwarfs the actual fill pass (~4x at S ~ 100k).  A buffer
-#: is handed out only while nothing but the pool references it, so a
-#: live bank (or any view into its state) can never be aliased.
-_state_pool: List["np.ndarray"] = []
-_STATE_POOL_MAX = 3
-
-
-def _acquire_state(count: int) -> "np.ndarray":
-    """An uninitialized ``(624, count)`` u32 buffer, pooled when free.
-
-    CPython refcounting makes "free" exact: a pooled buffer with no
-    outside holder is referenced by the pool list, the loop variable,
-    and ``getrefcount``'s argument — three.  Any bank state, temporary
-    view, or caller reference raises it, and the pool then allocates a
-    fresh buffer instead (false "in use" only ever costs speed).
-    """
-    for buf in _state_pool:
-        if buf.shape[1] == count and sys.getrefcount(buf) == 3:
-            return buf
-    buf = np.empty((_N, count), dtype=np.uint32)
-    if len(_state_pool) >= _STATE_POOL_MAX:
-        _state_pool.pop(0)
-    _state_pool.append(buf)
-    return buf
 
 
 def thread_count() -> int:
@@ -137,20 +160,20 @@ def _executor(workers: int) -> "ThreadPoolExecutor":
     return _pool
 
 
-def _fanout(work: Callable[[slice], None], count: int) -> None:
+def _fanout(work: Callable[[slice], _R], count: int) -> List[_R]:
     """Run ``work`` over the column axis, split across threads when the
-    bank is wide enough; partitioning is by contiguous column slices, so
-    results are byte-identical at every thread count."""
+    bank is wide enough, and return its results in column order;
+    partitioning is by contiguous column slices, so results are
+    byte-identical at every thread count."""
     workers = min(thread_count(), count // MIN_STREAMS_PER_THREAD)
     if workers <= 1:
-        work(slice(0, count))
-        return
+        return [work(slice(0, count))]
     step = -(-count // workers)
     slices = [
         slice(start, min(count, start + step))
         for start in range(0, count, step)
     ]
-    list(_executor(len(slices)).map(work, slices))
+    return list(_executor(len(slices)).map(work, slices))
 
 
 def _base_state() -> "np.ndarray":
@@ -178,255 +201,317 @@ def _key_words(seed: int) -> List[int]:
     return words
 
 
-def _mix_group(mt: "np.ndarray", keys: "np.ndarray") -> None:
+def _mix_group(mt: "np.ndarray", keys: "np.ndarray", tmp: "np.ndarray") -> None:
     """``init_by_array`` over one same-width group, all columns per step.
 
     ``mt`` is an *uninitialized* ``(624, G)`` buffer (written in place);
     ``keys`` the ``(W, G)`` key matrix with ``key[j] + j`` pre-folded
-    (the reference loop adds both).  Runs ``max(624, W)`` mixing steps
-    then the 623 decay steps, exactly CPython's schedule for a
-    ``W``-word key.
+    (the reference loop adds both); ``tmp`` a ``(G,)`` u32 scratch row.
+    Runs ``max(624, W)`` mixing steps then the 623 decay steps, exactly
+    CPython's schedule for a ``W``-word key.
 
     The reference seeds ``init_genrand(19650218)`` first and xors each
     key-mixing step into that base state.  The base state is
     key-independent, and the first 623 steps each touch their row for
-    the first time — so instead of broadcasting a quarter-gigabyte base
-    matrix up front, those steps fold ``base[i]`` in as a scalar and
-    write the row fresh; only revisits (step >= 623) read the row back.
+    the first time — so instead of broadcasting the base state up
+    front, those steps fold ``base[i]`` in as a scalar and write the
+    row fresh; only revisits (step >= 623) read the row back.
     """
     width = keys.shape[0]
-    count = mt.shape[1]
-    base = _base_state()
+    base = list(_base_state())
+    rows = list(mt)  # one view per row, built once per chunk
+    key_rows = list(keys)
+    add, xor, mul, shift = np.add, np.bitwise_xor, np.multiply, np.right_shift
     mix1 = np.uint32(1664525)
     mix2 = np.uint32(1566083941)
-    s30 = np.uint32(30)
-
-    def work(cols: slice) -> None:
-        sub = mt[:, cols]
-        sub_keys = keys[:, cols]
-        tmp = np.empty(cols.stop - cols.start, dtype=np.uint32)
-        i = 1
-        j = 0
-        for step in range(max(_N, width)):
-            row = sub[i]
-            if step == 0:
-                # Row 0 is never materialized before its first wrap
-                # copy; the whole first step is scalar arithmetic on
-                # base[0] folded into the key add.
-                b0 = int(base[0])
-                head = (int(base[1]) ^ ((1664525 * (b0 ^ (b0 >> 30))) & 0xFFFFFFFF)) & 0xFFFFFFFF
-                np.add(sub_keys[0], np.uint32(head), out=row)
+    i = 1
+    j = 0
+    for step in range(max(_N, width)):
+        row = rows[i]
+        if step == 0:
+            # Row 0 is never materialized before its first wrap copy;
+            # the whole first step is scalar arithmetic on base[0]
+            # folded into the key add.
+            b0 = int(base[0])
+            head = (int(base[1]) ^ ((1664525 * (b0 ^ (b0 >> 30))) & 0xFFFFFFFF)) & 0xFFFFFFFF
+            add(key_rows[0], np.uint32(head), row)
+        else:
+            prev = rows[i - 1]
+            shift(prev, _U32_30, tmp)
+            xor(tmp, prev, tmp)
+            mul(tmp, mix1, tmp)
+            if step < _N - 1:  # first visit: fold base[i] as a scalar
+                xor(tmp, base[i], row)
             else:
-                prev = sub[i - 1]
-                np.right_shift(prev, s30, out=tmp)
-                np.bitwise_xor(tmp, prev, out=tmp)
-                np.multiply(tmp, mix1, out=tmp)
-                if step < _N - 1:  # first visit: fold base[i] as a scalar
-                    np.bitwise_xor(tmp, base[i], out=row)
-                else:
-                    np.bitwise_xor(row, tmp, out=row)
-                np.add(row, sub_keys[j], out=row)
-            i += 1
-            j += 1
-            if i >= _N:
-                sub[0] = sub[_N - 1]
-                i = 1
-            if j >= width:
-                j = 0
-        for _ in range(_N - 1):
-            prev = sub[i - 1]
-            np.right_shift(prev, s30, out=tmp)
-            np.bitwise_xor(tmp, prev, out=tmp)
-            np.multiply(tmp, mix2, out=tmp)
-            row = sub[i]
-            np.bitwise_xor(row, tmp, out=row)
-            np.subtract(row, np.uint32(i), out=row)
-            i += 1
-            if i >= _N:
-                sub[0] = sub[_N - 1]
-                i = 1
-        sub[0] = np.uint32(0x80000000)
-
-    _fanout(work, count)
+                xor(row, tmp, row)
+            add(row, key_rows[j], row)
+        i += 1
+        j += 1
+        if i >= _N:
+            rows[0][...] = rows[_N - 1]
+            i = 1
+        if j >= width:
+            j = 0
+    sub = np.subtract
+    for _ in range(_N - 1):
+        prev = rows[i - 1]
+        row = rows[i]
+        shift(prev, _U32_30, tmp)
+        xor(tmp, prev, tmp)
+        mul(tmp, mix2, tmp)
+        xor(row, tmp, row)
+        sub(row, np.uint32(i), row)
+        i += 1
+        if i >= _N:
+            rows[0][...] = rows[_N - 1]
+            i = 1
+    rows[0][...] = np.uint32(0x80000000)
 
 
-def seed_states(seeds: Sequence[int]) -> "np.ndarray":
-    """CPython ``Random(seed)`` states for every seed, as ``(624, S)`` u32.
+def _key_matrix(seeds: _Seeds) -> Tuple["np.ndarray", Dict[int, List[int]]]:
+    """The two-word keys of ``seeds`` plus the odd-width columns.
 
-    Vectorizes ``init_by_array`` across streams.  The ubiquitous
-    two-word keys (64-bit :func:`~repro.sim.rng.derive_seed` outputs)
-    run as one full-matrix pass; any other key width — sub-32-bit
-    seeds, >=2**64 integers — is batched per width and seeded through
-    the same vectorized mixing loops on its column group, so a bank is
-    never reduced to stream-at-a-time scalar reproduction.
+    Returns ``(keys, odd)``: ``keys`` is the ``(2, S)`` u32 key matrix
+    (``+ j`` folded) of the ubiquitous 64-bit
+    :func:`~repro.sim.rng.derive_seed` outputs, and ``odd`` maps every
+    other key width — sub-32-bit seeds, >=2**64 integers — to its
+    column indices, which the caller seeds as their own groups (their
+    ``keys`` columns hold a placeholder).
     """
-    timer_started = TIMERS.start()
-    uniform64 = isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64
-    if uniform64:
-        seeds_arr = seeds
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
         # The batched derive_ball_seeds path: uniform 64-bit values; the
         # (astronomically rare) sub-2**32 ones form a one-word group.
-        odd: Dict[int, List[int]] = {}
-        for i in np.flatnonzero(seeds_arr < np.uint64(2**32)).tolist():
-            odd.setdefault(1, []).append(i)
-        originals: Sequence[int] = seeds_arr
+        seeds_arr = seeds
+        small = np.flatnonzero(seeds_arr < np.uint64(2**32)).tolist()
+        odd = {1: small} if small else {}
     else:
-        originals = list(seeds)
         odd = {}
-        for i, s in enumerate(originals):
+        for i, s in enumerate(seeds):
             if not 2**32 <= s < 2**64:
                 odd.setdefault(len(_key_words(s)), []).append(i)
         seeds_arr = np.array(
-            [s if 2**32 <= s < 2**64 else 2**32 for s in originals],
+            [s if 2**32 <= s < 2**64 else 2**32 for s in seeds],
             dtype=np.uint64,
         )
-    count = len(seeds_arr)
-    mt = _acquire_state(count)
-    odd_count = sum(len(idx) for idx in odd.values())
-    if odd_count < count:
-        # Two-word common case over the whole matrix; odd-width columns
-        # are recomputed by their group below (the wasted mixing is
-        # cheaper than excising scattered columns first).
-        keys = np.empty((2, count), dtype=np.uint32)
-        keys[0] = (seeds_arr & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        # The loop adds ``key[j] + j``; fold the ``+ 1`` in now.
-        keys[1] = (seeds_arr >> np.uint64(32)).astype(np.uint32) + np.uint32(1)
-        _mix_group(mt, keys)
+    keys = np.empty((2, len(seeds_arr)), dtype=np.uint32)
+    keys[0] = (seeds_arr & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    keys[1] = (seeds_arr >> np.uint64(32)).astype(np.uint32) + np.uint32(1)
+    return keys, odd
+
+
+def _odd_keys(seeds: _Seeds, width: int, idx: List[int]) -> "np.ndarray":
+    """The ``(width, len(idx))`` folded key matrix of one odd group."""
+    keys = np.zeros((width, len(idx)), dtype=np.uint32)
+    for col, i in enumerate(idx):
+        for j, word in enumerate(_key_words(int(seeds[i]))):
+            keys[j, col] = np.uint32((word + j) & 0xFFFFFFFF)
+    return keys
+
+
+def seed_states(seeds: _Seeds) -> "np.ndarray":
+    """CPython ``Random(seed)`` states for every seed, as ``(624, S)`` u32.
+
+    The full-state form of the bank's seeding pass, for checking
+    ``init_by_array`` against ``random.Random(seed).getstate()``; the
+    bank itself never materializes it.
+    """
+    keys, odd = _key_matrix(seeds)
+    mt = np.empty((_N, keys.shape[1]), dtype=np.uint32)
+    _mix_group(mt, keys, np.empty(keys.shape[1], dtype=np.uint32))
     for width, idx in sorted(odd.items()):
-        group = _acquire_state(len(idx))
-        keys = np.zeros((width, len(idx)), dtype=np.uint32)
-        for col, i in enumerate(idx):
-            for j, word in enumerate(_key_words(int(originals[i]))):
-                keys[j, col] = np.uint32((word + j) & 0xFFFFFFFF)
-        _mix_group(group, keys)
+        group = np.empty((_N, len(idx)), dtype=np.uint32)
+        _mix_group(group, _odd_keys(seeds, width, idx), np.empty(len(idx), dtype=np.uint32))
         mt[:, idx] = group
-    TIMERS.stop("seeding", timer_started)
     return mt
 
 
-def _temper(words: "np.ndarray") -> None:
-    """MT19937 output tempering, in place."""
-    words ^= words >> np.uint32(11)
-    words ^= (words << np.uint32(7)) & np.uint32(0x9D2C5680)
-    words ^= (words << np.uint32(15)) & np.uint32(0xEFC60000)
-    words ^= words >> np.uint32(18)
+def _twist_rows(
+    mt: "np.ndarray", words: "np.ndarray", lo: int, hi: int, y: "np.ndarray"
+) -> None:
+    """Untempered next-generation words ``lo..hi`` (exclusive) of state
+    ``mt`` into ``words``, given every word below ``lo``.
+
+    Rows below ``N - M`` read only the old state; higher rows also read
+    the freshly twisted word ``N - M`` rows back (already produced, as a
+    call spans fewer rows), and the final row pairs old word 623 with
+    *new* word 0 — the wrap-around of the in-place reference loop.
+    ``y`` is u32 scratch of at least ``hi - lo`` rows.
+    """
+    while lo < hi:
+        if lo < _N - _M:
+            top = min(hi, _N - _M)
+            cur, nxt, mixed = mt[lo:top], mt[lo + 1 : top + 1], mt[lo + _M : top + _M]
+        elif lo < _N - 1:
+            top = min(hi, _N - 1)
+            cur, nxt = mt[lo:top], mt[lo + 1 : top + 1]
+            mixed = words[lo - (_N - _M) : top - (_N - _M)]
+        else:
+            top = _N
+            cur, nxt, mixed = mt[_N - 1 :], words[0:1], words[_M - 1 : _M]
+        out = words[lo:top]
+        yy = y[: top - lo]
+        np.bitwise_and(cur, _U32_UPPER, out=yy)
+        np.bitwise_and(nxt, _U32_LOWER, out=out)
+        np.bitwise_or(yy, out, out=yy)
+        np.right_shift(yy, _U32_ONE, out=out)
+        np.bitwise_xor(out, mixed, out=out)
+        np.bitwise_and(yy, _U32_ONE, out=yy)
+        np.multiply(yy, _U32_MATRIX_A, out=yy)
+        np.bitwise_xor(out, yy, out=out)
+        lo = top
+
+
+def _prefix_doubles(
+    mt: "np.ndarray", words: "np.ndarray", tmp: "np.ndarray", out: "np.ndarray"
+) -> None:
+    """The first ``len(out)`` ``random()`` doubles of state ``mt``.
+
+    Twists, tempers and pairs ``TWIST_ROWS`` words per pass, so each
+    pass works on cache-resident rows.  CPython's ``random()``:
+    ``a = word0 >> 5``, ``b = word1 >> 6``, ``(a * 2**26 + b) / 2**53``
+    — exact in float64 by construction.
+    """
+    y, t, u = tmp
+    total = words.shape[0]
+    for lo in range(0, total, TWIST_ROWS):
+        hi = min(total, lo + TWIST_ROWS)
+        rows = hi - lo
+        _twist_rows(mt, words, lo, hi, y)
+        w, tt, uu = words[lo:hi], t[:rows], u[:rows]
+        np.right_shift(w, _U32_11, out=tt)
+        np.bitwise_xor(tt, w, out=tt)
+        np.left_shift(tt, _U32_7, out=uu)
+        np.bitwise_and(uu, _U32_TEMPER_B, out=uu)
+        np.bitwise_xor(tt, uu, out=tt)
+        np.left_shift(tt, _U32_15, out=uu)
+        np.bitwise_and(uu, _U32_TEMPER_C, out=uu)
+        np.bitwise_xor(tt, uu, out=tt)
+        np.right_shift(tt, _U32_18, out=uu)
+        np.bitwise_xor(tt, uu, out=tt)
+        half = rows // 2
+        a, b = uu[:half], uu[half:rows]
+        np.right_shift(tt[0::2], _U32_5, out=a)
+        np.right_shift(tt[1::2], _U32_6, out=b)
+        dst = out[lo // 2 : hi // 2]
+        np.multiply(a, 67108864.0, out=dst)
+        np.add(dst, b, out=dst)
+        np.multiply(dst, 1.0 / 9007199254740992.0, out=dst)
+
+
+def _fill_prefix(keys: "np.ndarray", out: "np.ndarray") -> Tuple[float, float]:
+    """Seed the streams of ``keys`` and write their first ``len(out)``
+    doubles into ``out``, in equal chunks of at most ``CHUNK_STREAMS``
+    columns through one scratch state.  Returns the seconds spent
+    seeding and twisting (zeros unless telemetry is on)."""
+    count = keys.shape[1]
+    chunks = max(1, -(-count // CHUNK_STREAMS))
+    width = max(1, -(-count // chunks))
+    mt_buf = np.empty((_N, width), dtype=np.uint32)
+    # Untempered next-generation words (later twist rows read them).
+    words_buf = np.empty((2 * out.shape[0], width), dtype=np.uint32)
+    tmp_buf = np.empty((3, TWIST_ROWS, width), dtype=np.uint32)
+    clock = TIMERS.start
+    seeding_s = twist_s = 0.0
+    for lo in range(0, count, width):
+        hi = min(count, lo + width)
+        mt = mt_buf[:, : hi - lo]
+        tmp = tmp_buf[:, :, : hi - lo]
+        started = clock()
+        _mix_group(mt, keys[:, lo:hi], tmp[0, 0])
+        seeded = clock()
+        _prefix_doubles(mt, words_buf[:, : hi - lo], tmp, out[:, lo:hi])
+        seeding_s += seeded - started
+        twist_s += clock() - seeded
+    return seeding_s, twist_s
 
 
 class MTStreamBank:
-    """Lazily generated doubles from S independent CPython-MT streams.
+    """The first ``P`` doubles of S independent CPython-MT streams.
 
     ``draws(idx)`` returns the *next* ``random()`` value of each selected
-    stream, advancing only those cursors — exactly the consumption
-    pattern of the per-ball walks.  Output is produced for all streams
-    in lock-step blocks (a partial twist per block), amortizing the
-    generation cost the same way the engine amortizes the round logic.
+    stream (``idx`` distinct), advancing only those cursors — exactly
+    the consumption pattern of the per-ball walks.  ``P`` is
+    ``PREFIX_BLOCKS * block`` (capped at one generation); the prefix is
+    generated for all streams at construction, and a stream drawing
+    past it continues on a per-stream C generator.
     """
 
-    def __init__(self, seeds: Sequence[int], *, block: int = 4) -> None:
+    def __init__(self, seeds: _Seeds, *, block: int = 4) -> None:
         if not HAVE_NUMPY:
             raise RuntimeError("MTStreamBank requires numpy (pip install .[fast])")
-        self._mt = seed_states(seeds)
-        self._count = self._mt.shape[1]
-        self._block = max(1, int(block))
-        self._words_done = 0  # words of the current generation produced
-        self._new: Optional["np.ndarray"] = None  # untempered next gen
-        # Doubles buffer: (capacity, S) — row d is every stream's d-th
-        # draw, so generation appends rows without transposing; capacity
-        # doubles on demand so extends never re-copy.
-        self._buf = np.empty((0, self._count), dtype=np.float64)
-        self._produced = 0
-        self.cursor = np.zeros(self._count, dtype=np.int64)
+        self.prefix = min(DOUBLES_PER_GENERATION, PREFIX_BLOCKS * max(1, int(block)))
+        keys, odd = _key_matrix(seeds)
+        count = keys.shape[1]
+        #: Row ``d`` is every stream's ``d``-th draw.
+        self._doubles = np.empty((self.prefix, count), dtype=np.float64)
+        self.cursor = np.zeros(count, dtype=np.int64)
+        # Kept for the streams that overflow the prefix.
+        self._seeds: _Seeds = (
+            seeds if isinstance(seeds, np.ndarray) else list(seeds)
+        )
+        self._tails: Dict[int, Tuple[_MTRandom, List[float]]] = {}
+        self._build(keys, odd, self._seeds)
 
-    # ------------------------------------------------------------- generation
-    def _twist_rows(self, start: int, stop: int) -> "np.ndarray":
-        """Untempered next-generation words ``start..stop`` (exclusive).
-
-        Generated strictly in order into the preallocated generation
-        buffer: rows below ``N - M`` read only the old state, higher
-        rows also read freshly twisted words (already produced), and the
-        final row pairs old word 623 with *new* word 0 — the wrap-around
-        of the in-place reference loop.  Columns are independent, so the
-        pass fans out across the thread pool.
-        """
-        if self._new is None:
-            self._new = _acquire_state(self._count)
-
-        def work(cols: slice) -> None:
-            mt = self._mt[:, cols]
-            new = self._new[:, cols]
-            upper = np.uint32(_UPPER)
-            lower = np.uint32(_LOWER)
-            one = np.uint32(1)
-            matrix_a = np.uint32(_MATRIX_A)
-            lo = start
-            while lo < stop:
-                if lo < _N - 1:
-                    hi = (
-                        min(stop, _N - _M)
-                        if lo < _N - _M
-                        else min(stop, _N - 1)
-                    )
-                    y = (mt[lo:hi] & upper) | (mt[lo + 1 : hi + 1] & lower)
-                    if hi <= _N - _M:
-                        mixed = mt[lo + _M : hi + _M]
-                    else:
-                        mixed = new[lo - (_N - _M) : hi - (_N - _M)]
-                else:
-                    hi = _N
-                    y = (mt[_N - 1 :] & upper) | (new[0:1] & lower)
-                    mixed = new[_M - 1 : _M]
-                out = new[lo:hi]
-                np.right_shift(y, one, out=out)
-                np.bitwise_xor(out, mixed, out=out)
-                np.bitwise_and(y, one, out=y)
-                np.multiply(y, matrix_a, out=y)
-                np.bitwise_xor(out, y, out=out)
-                lo = hi
-
-        _fanout(work, self._count)
-        return self._new[start:stop]
-
-    def _extend(self, doubles: int) -> None:
-        """Produce ``doubles`` more values for every stream."""
+    def _build(
+        self, keys: "np.ndarray", odd: Dict[int, List[int]], seeds: _Seeds
+    ) -> None:
         timer_started = TIMERS.start()
-        while doubles > 0:
-            take = min(doubles, DOUBLES_PER_GENERATION - self._words_done // 2)
-            if take == 0:
-                # Current generation exhausted: finish the twist (its tail
-                # rows were never needed as output) and roll the state.
-                if self._words_done < _N:
-                    self._twist_rows(self._words_done, _N)
-                self._mt = self._new
-                self._new = None
-                self._words_done = 0
-                continue
-            words = self._twist_rows(self._words_done, self._words_done + 2 * take).copy()
-            self._words_done += 2 * take
-            _temper(words)
-            # CPython's random(): a = word0 >> 5, b = word1 >> 6,
-            # (a * 2**26 + b) / 2**53 — correctly rounded by construction.
-            a = (words[0::2] >> np.uint32(5)).astype(np.float64)
-            b = (words[1::2] >> np.uint32(6)).astype(np.float64)
-            if self._produced + take > self._buf.shape[0]:
-                capacity = max(8, self._buf.shape[0] * 2, self._produced + take)
-                grown = np.empty((capacity, self._count), dtype=np.float64)
-                grown[: self._produced] = self._buf[: self._produced]
-                self._buf = grown
-            out = self._buf[self._produced : self._produced + take]
-            np.multiply(a, 67108864.0, out=a)
-            np.add(a, b, out=a)
-            np.multiply(a, 1.0 / 9007199254740992.0, out=out)
-            self._produced += take
-            doubles -= take
-        TIMERS.stop("twist", timer_started)
+        count = keys.shape[1]
+        stages: List[Tuple[float, float]] = []
+        if sum(len(idx) for idx in odd.values()) < count:
+            # Two-word common case over every column; odd-width columns
+            # are overwritten by their group below (the wasted mixing is
+            # cheaper than excising scattered columns first).
+            stages += _fanout(
+                lambda cols: _fill_prefix(keys[:, cols], self._doubles[:, cols]),
+                count,
+            )
+        for width, idx in sorted(odd.items()):
+            group = np.empty((self.prefix, len(idx)), dtype=np.float64)
+            stages.append(_fill_prefix(_odd_keys(seeds, width, idx), group))
+            self._doubles[:, idx] = group
+        # Threads overlap, so the wall time is split between the stages
+        # in proportion to the time the workers spent in each.
+        TIMERS.split(
+            timer_started,
+            {
+                "seeding": sum(seeding for seeding, _ in stages),
+                "twist": sum(twist for _, twist in stages),
+            },
+        )
 
     # ------------------------------------------------------------ consumption
     def draws(self, idx: "np.ndarray") -> "np.ndarray":
         """The next double of each stream in ``idx`` (cursors advance)."""
         cur = self.cursor[idx]
-        needed = int(cur.max(initial=-1)) + 1 if len(cur) else 0
-        if needed > self._produced:
-            self._extend(max(self._block, needed - self._produced))
-        out = self._buf[cur, idx]
         self.cursor[idx] = cur + 1
+        if not len(cur) or int(cur.max()) < self.prefix:
+            return self._doubles[cur, idx]
+        inside = cur < self.prefix
+        out = np.empty(len(cur), dtype=np.float64)
+        out[inside] = self._doubles[cur[inside], idx[inside]]
+        outside = ~inside
+        timer_started = TIMERS.start()
+        out[outside] = [
+            self._overflow(stream, draw)
+            for stream, draw in zip(idx[outside].tolist(), cur[outside].tolist())
+        ]
+        TIMERS.stop("twist", timer_started)
         return out
+
+    def _overflow(self, stream: int, draw: int) -> float:
+        """Draw number ``draw >= P`` of ``stream``, from its C generator.
+
+        The generator is the ground truth the prefix reproduces:
+        ``random.Random(seed)`` with its first ``P`` doubles (``2P``
+        words, one ``getrandbits`` call) skipped.
+        """
+        tail = self._tails.get(stream)
+        if tail is None:
+            rng = _MTRandom(int(self._seeds[stream]))
+            rng.getrandbits(64 * self.prefix)
+            tail = self._tails[stream] = (rng, [])
+        rng, values = tail
+        while len(values) <= draw - self.prefix:
+            values.append(rng.random())
+        return values[draw - self.prefix]

@@ -46,7 +46,7 @@ from collections.abc import Mapping
 
 from repro.adversary.base import AdversaryContext, clamp_plan
 from repro.adversary.none import NoFailures
-from repro.errors import ConfigurationError, RoundLimitExceeded
+from repro.errors import ConfigurationError
 from repro.ids import require_distinct
 from repro.tree.topology import cached_topology
 from repro.core.columnar import (
@@ -234,11 +234,14 @@ class VectorizedCellEngine:
     the exact values the scalar engines produce trial by trial.
 
     The result surface is :class:`VectorizedCrashEngine`'s at its
-    zero-crash values (``crashed``/``round_crashed``/``overrun`` never
-    set, ``round_crashes`` all zero), so one stacked result type reads
-    either engine.  The round limit raises for the whole stack instead
-    of flagging ``overrun``: a failure-free trial only reaches it when
-    wedged, and the batch layer then re-runs the cell trial by trial.
+    zero-crash values (``crashed``/``round_crashed`` never set,
+    ``round_crashes`` all zero), so one stacked result type reads either
+    engine.  It shares the crash engine's per-trial stop rule: a trial
+    still running at the round limit is flagged in ``overrun`` while the
+    others keep going, and a trial the observer proves stalled is
+    flagged in ``stopped`` and advances no further — the two ways a
+    per-trial kernel raises mid-run, resolved per trial by the sim
+    layer.
 
     Balls are indexed trial-major: stream/ball ``s`` is trial ``s // n``,
     label rank ``s % n``; tree state is a ``(T * node_count,)`` flat
@@ -310,6 +313,8 @@ class VectorizedCellEngine:
         self.rounds = np.zeros(T, dtype=np.int32)
         self.overrun = np.zeros(T, dtype=bool)
         self.running_at_limit = np.zeros(T, dtype=np.int32)
+        #: (T,) trials the observer stopped (a proven stall).
+        self.stopped = np.zeros(T, dtype=bool)
         self.round_sent: List["np.ndarray"] = []
         self.round_delivered: List["np.ndarray"] = []
         self.round_crashes: List["np.ndarray"] = []
@@ -324,26 +329,31 @@ class VectorizedCellEngine:
     def run(
         self,
         stop_after: Optional[int] = None,
-        observer: Optional[Callable[..., None]] = None,
+        observer: Optional[Callable[..., Optional["np.ndarray"]]] = None,
     ) -> None:
         """All trials to completion, mirroring the kernel driving loop.
 
         ``stop_after`` pauses the stack once that round number has been
         completed (trials stay resumable); ``observer(engine, round_no,
         active)`` is called after every completed round — the hook the
-        stacked invariant monitor attaches to.
+        stacked invariant monitor attaches to — and may return a (T,)
+        bool mask of trials to stop there.  A trial still running when
+        ``max_rounds`` rounds have completed is marked overrun with the
+        running count the columnar engine's raise would have carried.
         """
         round_no = self._round
         while True:
-            active = self.running > 0
+            active = (self.running > 0) & ~self.overrun & ~self.stopped
             if not active.any():
                 break
             if stop_after is not None and round_no >= stop_after:
                 break
             if round_no >= self.max_rounds:
-                raise RoundLimitExceeded(
-                    self.max_rounds, int(self.running[active][0])
+                self.overrun |= active
+                self.running_at_limit = np.where(
+                    active, self.running, self.running_at_limit
                 )
+                break
             round_no += 1
             self._round = round_no
             # Every running ball broadcasts, and every running ball
@@ -364,7 +374,9 @@ class VectorizedCellEngine:
                 np.where(active, self.running.astype(np.int64), 0)
             )
             if observer is not None:
-                observer(self, round_no, active)
+                stop = observer(self, round_no, active)
+                if stop is not None:
+                    self.stopped |= stop
 
     # -------------------------------------------------------- state interchange
     def export_trial_state(self, t: int) -> Dict[str, Any]:
@@ -867,6 +879,8 @@ class VectorizedCrashEngine:
         self.rounds = np.zeros(T, dtype=np.int32)
         self.overrun = np.zeros(T, dtype=bool)
         self.running_at_limit = np.zeros(T, dtype=np.int32)
+        #: Never set: stacked crash cells run unmonitored.
+        self.stopped = np.zeros(T, dtype=bool)
         # Candidate paths, rows indexed by absolute node depth.
         self._path = np.zeros((S, topo.height + 1), dtype=np.int32)
         self._start_depth = np.zeros(S, dtype=np.int32)

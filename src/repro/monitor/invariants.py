@@ -443,6 +443,9 @@ class StackedMonitor:
         self._violations: Dict[int, List[Violation]] = {}
         self._streak = np.zeros(engine.trials, dtype=np.int64)
         self._stalled = np.zeros(engine.trials, dtype=bool)
+        #: Trials still observed: running at the previous observation and
+        #: not stalled (a per-trial run stops being observed when it ends).
+        self._observed = np.ones(engine.trials, dtype=bool)
         self._prev_pos = None
         self._prev_halted = None
         self._prev_decision = None
@@ -456,7 +459,15 @@ class StackedMonitor:
         return list(self._violations.get(t, ()))
 
     # ------------------------------------------------------------- observing
-    def __call__(self, engine, round_no: int, active: "np.ndarray") -> None:
+    def __call__(self, engine, round_no: int, active: "np.ndarray") -> "np.ndarray":
+        """Screen one completed round of every still-observed trial.
+
+        Returns the latched stall mask: the trials the progress monitor
+        proved wedged, which the engine stops (a per-trial kernel aborts
+        such a run with :class:`~repro.errors.MonitorViolation`).  The
+        round's predicate findings precede its stall finding, as in
+        :class:`RunMonitor`.
+        """
         n = self.n
         T = self.trials
         pos = engine.pos
@@ -512,40 +523,13 @@ class StackedMonitor:
                 minlength=T,
             ).astype(bool)
 
-        # Progress: per-trial frozen-state streaks (same fingerprint the
-        # scalar monitor hashes: positions, lifecycle, decisions).
-        if self._prev_pos is not None:
-            same = (
-                (pos == self._prev_pos)
-                & (halted == self._prev_halted)
-                & (decision == self._prev_decision)
-            )
-            trial_same = np.logical_and.reduceat(
-                same, np.arange(0, T * n, n)
-            ) & (engine.running > 0)
-            self._streak = np.where(trial_same, self._streak + 1, 0)
-            firing = (self._streak == self.stall_window) & ~self._stalled
-            if firing.any():
-                self._stalled |= firing
-                for t in np.flatnonzero(firing):
-                    t = int(t)
-                    self._violations.setdefault(t, []).append(
-                        Violation(
-                            "progress",
-                            round_no,
-                            f"no state change for {self.stall_window} "
-                            f"rounds with {int(engine.running[t])} "
-                            f"ball(s) running",
-                        )
-                    )
-        self._prev_pos = pos.copy()
-        self._prev_halted = halted.copy()
-        self._prev_decision = decision.copy()
-
         # Flagged trials re-run the scalar predicates for identical
         # attribution/wording (rare by construction: a screen only fires
-        # on an actual violation).
-        for t in map(int, np.flatnonzero(flagged)):
+        # on an actual violation).  Trials that ended or stalled in an
+        # earlier round are no longer observed, like a per-trial run
+        # that has returned or aborted.
+        observed = self._observed
+        for t in map(int, np.flatnonzero(flagged & observed)):
             base = t * n
             trial_pos = pos[base : base + n].tolist()
             trial_halted = halted[base : base + n]
@@ -572,3 +556,35 @@ class StackedMonitor:
             )
             if found:
                 self._violations.setdefault(t, []).extend(found)
+
+        # Progress: per-trial frozen-state streaks (same fingerprint the
+        # scalar monitor hashes: positions, lifecycle, decisions).
+        if self._prev_pos is not None:
+            same = (
+                (pos == self._prev_pos)
+                & (halted == self._prev_halted)
+                & (decision == self._prev_decision)
+            )
+            trial_same = np.logical_and.reduceat(
+                same, np.arange(0, T * n, n)
+            ) & (engine.running > 0) & observed
+            self._streak = np.where(trial_same, self._streak + 1, 0)
+            firing = (self._streak == self.stall_window) & ~self._stalled
+            if firing.any():
+                self._stalled |= firing
+                for t in np.flatnonzero(firing):
+                    t = int(t)
+                    self._violations.setdefault(t, []).append(
+                        Violation(
+                            "progress",
+                            round_no,
+                            f"no state change for {self.stall_window} "
+                            f"rounds with {int(engine.running[t])} "
+                            f"ball(s) running",
+                        )
+                    )
+        self._prev_pos = pos.copy()
+        self._prev_halted = halted.copy()
+        self._prev_decision = decision.copy()
+        self._observed = observed & (engine.running > 0) & ~self._stalled
+        return self._stalled

@@ -550,9 +550,10 @@ def _error_result(
 Task = Union[TrialSpec, Tuple[TrialSpec, ...]]
 
 #: Stream budget (trials x n) of one stacked call; bounds the resident
-#: MT state (~2.5 KB per stream) while leaving whole cells intact at
-#: sweep sizes.  Override with the REPRO_VEC_MAX_STREAMS environment
-#: variable (read through the :mod:`repro.config` seam).
+#: stream bank (256 B per stream at n=1024) and engine columns — the
+#: n=1024 sweep peaks at ~263 MB for 131072 streams — while leaving
+#: whole cells intact at sweep sizes.  Override with the REPRO_VEC_MAX_STREAMS
+#: environment variable (read through the :mod:`repro.config` seam).
 DEFAULT_MAX_STREAMS = repro_config.DEFAULT_MAX_STREAMS
 
 _max_streams = repro_config.vec_max_streams
@@ -703,10 +704,11 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
     spec except for the ``kernel`` label.
 
     Trial failures resolve as in a serial loop: in ascending trial
-    order, a trial's :class:`RoundLimitExceeded` before its spec check;
-    the first one raises, or — under ``capture_errors`` — becomes the
-    same error row :func:`run_trial` builds, without re-running
-    anything.
+    order, a trial's mid-run error (:class:`RoundLimitExceeded`, or the
+    :class:`~repro.errors.MonitorViolation` of a stall its monitor
+    proved) before its spec check; the first one raises, or — under
+    ``capture_errors`` — becomes the same error row :func:`run_trial`
+    builds, without re-running anything.
     """
     from repro.sim.vectorized import run_stacked_cell
 
@@ -746,7 +748,7 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
     results = []
     for t, trial_spec in enumerate(specs):
         fault_budget = _fault_budget(adversaries[t])
-        error: Optional[Exception] = cell.round_limit_error(t)
+        error: Optional[Exception] = cell.trial_error(t)
         if error is None and spec_errors is not None:
             error = spec_errors[t]
         if error is not None:
@@ -786,16 +788,7 @@ def _run_task(task: Task) -> List[TrialResult]:
     """One executor work item (module-level so pools can pickle it)."""
     if isinstance(task, TrialSpec):
         return [run_trial(task)]
-    try:
-        return run_cell(task)
-    except (SimulationError, SpecViolation):
-        if not task[0].capture_errors:
-            raise
-        # The failure-free engine fails the whole stack at its round
-        # limit; re-run the trials individually so only the poisoned
-        # ones become error rows (run_trial captures per spec,
-        # bit-identical otherwise).
-        return [run_trial(spec) for spec in task]
+    return run_cell(task)
 
 
 # -------------------------------------------------------------------- executors

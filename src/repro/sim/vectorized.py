@@ -41,7 +41,13 @@ from repro.adversary.none import NoFailures
 from repro.core.config import BallsIntoLeavesConfig
 from repro.core.instrumentation import TIMERS
 from repro.core.mt19937 import HAVE_NUMPY
-from repro.errors import ConfigurationError, RoundLimitExceeded, SpecViolation
+from repro.errors import (
+    ConfigurationError,
+    MonitorViolation,
+    RoundLimitExceeded,
+    SimulationError,
+    SpecViolation,
+)
 from repro.sim.checker import RenamingSpec, check_renaming
 from repro.sim.kernel import KernelRequest, KernelRun, SimulationKernel
 from repro.sim.metrics import RoundMetrics, SimulationMetrics
@@ -82,6 +88,8 @@ class StackedCellRun:
         #: a per-trial kernel's RoundLimitExceeded would carry.
         self.overrun = engine.overrun
         self.running_at_limit = engine.running_at_limit
+        #: (T,) trials stopped on a stall the monitor proved.
+        self.stopped = engine.stopped
         #: (T, n) decided names (-1 = undecided), label-rank order.
         self.decisions = engine.decision.reshape(T, n)
         self.round_named = engine.round_named.reshape(T, n)
@@ -118,11 +126,16 @@ class StackedCellRun:
             return []
         return self._monitor.violations(t)
 
-    def round_limit_error(self, t: int) -> Optional[RoundLimitExceeded]:
-        """The error a per-trial kernel raises for trial ``t``'s overrun."""
-        if not bool(self.overrun[t]):
-            return None
-        return RoundLimitExceeded(self.limit, int(self.running_at_limit[t]))
+    def trial_error(self, t: int) -> Optional[SimulationError]:
+        """The error a per-trial kernel raises mid-run for trial ``t``:
+        :class:`RoundLimitExceeded` at the round limit, or
+        :class:`MonitorViolation` (carrying every finding so far) on a
+        stall the monitor proved; None when the trial ran to its end."""
+        if bool(self.overrun[t]):
+            return RoundLimitExceeded(self.limit, int(self.running_at_limit[t]))
+        if bool(self.stopped[t]):
+            return MonitorViolation(self.violations(t))
+        return None
 
     def metrics(self, t: int) -> SimulationMetrics:
         """Trial ``t``'s per-round metrics, as the scalar kernels record them."""
@@ -221,9 +234,9 @@ class StackedCellRun:
         process decided a distinct name in ``0..n-1`` and halted — the
         four :func:`check_renaming` conditions over correct processes;
         only flagged trials are re-checked through the scalar checker,
-        so the errors carry its exact wording.  Overrun trials are left
-        to :meth:`round_limit_error` (the per-trial kernels stop there
-        before checking anything).
+        so the errors carry its exact wording.  Overrun and stopped
+        trials are left to :meth:`trial_error` (the per-trial kernels
+        raise there before checking anything).
         """
         correct = ~self.crashed
         dec = self.decisions
@@ -239,7 +252,7 @@ class StackedCellRun:
                 tg * self.n + names, minlength=self.trials * self.n
             ).reshape(self.trials, self.n)
             ok &= (counts <= 1).all(axis=1)
-        ok |= self.overrun
+        ok |= self.overrun | self.stopped
         found: List[Optional[SpecViolation]] = [None] * self.trials
         for t in np.flatnonzero(~ok).tolist():
             try:
@@ -342,8 +355,9 @@ def _timed_monitor(observer):
 
     def observe(engine, round_no, active):
         timer_started = TIMERS.start()
-        observer(engine, round_no, active)
+        stop = observer(engine, round_no, active)
         TIMERS.stop("monitor", timer_started)
+        return stop
 
     return observe
 
@@ -418,11 +432,11 @@ class VectorizedKernel(SimulationKernel):
             monitor=request.monitor,
             adversaries=[request.adversary],
         )
-        overrun = cell.round_limit_error(0)
-        if overrun is not None:
-            raise overrun
         if request.trace is not None:
             cell.trace(0, sink=request.trace)
+        error = cell.trial_error(0)
+        if error is not None:
+            raise error
         return KernelRun(
             result=cell.result(0),
             last_round_named=cell.last_round_named(0),

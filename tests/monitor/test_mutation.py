@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.columnar import ColumnarBallsEngine, ColumnarCrashEngine
 from repro.adversary import RandomCrashAdversary
-from repro.errors import MonitorViolation
+from repro.core.mt19937 import HAVE_NUMPY
+from repro.errors import MonitorViolation, SimulationError
 from repro.ids import sparse_ids
 from repro.monitor.invariants import (
     STALL_WINDOW,
@@ -216,3 +217,96 @@ class TestEndToEndAbort:
         row = result.to_row()
         assert row["monitor"] == "cheap"
         assert row["violations"] == list(result.violations)
+
+
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="numpy not installed (the .[fast] extra)"
+)
+
+
+def _wedged_stack_engine():
+    """A stacked failure-free engine whose trial 0 stops moving after
+    ``_WedgedBallsEngine.WEDGE_ROUND`` (the other trials run on)."""
+    from repro.core.vectorized import VectorizedCellEngine
+
+    class WedgedFirstTrial(VectorizedCellEngine):
+        def _wedge(self, round_no, active):
+            if round_no > _WedgedBallsEngine.WEDGE_ROUND:
+                active = active.copy()
+                active[0] = False
+            return active
+
+        def _path_round(self, round_no, active):
+            super()._path_round(round_no, self._wedge(round_no, active))
+
+        def _position_round(self, round_no, active):
+            super()._position_round(round_no, self._wedge(round_no, active))
+
+    return WedgedFirstTrial
+
+
+@needs_numpy
+class TestStackedStallAbort:
+    """A stacked monitored run stops a wedged trial at its proven stall,
+    exactly where the per-trial kernel aborts — never at the round limit."""
+
+    def _wedged_error(self, monkeypatch, kernel):
+        monkeypatch.setattr(
+            "repro.core.columnar.ColumnarBallsEngine", _WedgedBallsEngine
+        )
+        monkeypatch.setattr(
+            "repro.core.vectorized.VectorizedCellEngine", _wedged_stack_engine()
+        )
+        with pytest.raises(SimulationError) as caught:
+            run_renaming(
+                "balls-into-leaves",
+                sparse_ids(N),
+                seed=3,
+                kernel=kernel,
+                monitor="cheap",
+            )
+        return caught.value
+
+    def test_wedged_run_raises_the_same_error_on_both_kernels(self, monkeypatch):
+        columnar = self._wedged_error(monkeypatch, "columnar")
+        vectorized = self._wedged_error(monkeypatch, "vectorized")
+        assert type(vectorized) is type(columnar) is MonitorViolation
+        assert str(vectorized) == str(columnar)
+        assert "[progress]" in str(vectorized)
+
+    @pytest.mark.parametrize(
+        "monitor, error", [("cheap", "MonitorViolation"), ("off", "RoundLimitExceeded")]
+    )
+    def test_healthy_trial_of_a_wedged_stack_keeps_its_row(
+        self, monkeypatch, monitor, error
+    ):
+        from repro.sim import batch
+
+        specs = tuple(
+            TrialSpec(
+                algorithm="balls-into-leaves",
+                n=N,
+                seed=seed,
+                adversary=AdversarySpec(),
+                kernel="vectorized",
+                capture_errors=True,
+                monitor=monitor,
+            )
+            for seed in (3, 4)
+        )
+        healthy = run_trial(specs[1]).to_row()
+        monkeypatch.setattr(
+            "repro.core.vectorized.VectorizedCellEngine", _wedged_stack_engine()
+        )
+
+        def no_rerun(spec):
+            raise AssertionError("a stacked cell must not re-run a trial")
+
+        monkeypatch.setattr(batch, "run_trial", no_rerun)
+        assert batch.plan_tasks(specs) == [specs]
+        wedged, rest = batch._run_task(specs)
+        assert rest.to_row() == healthy
+        assert wedged.error.startswith(f"{error}: ")
+        assert any("[progress]" in line for line in wedged.violations) == (
+            monitor == "cheap"
+        )

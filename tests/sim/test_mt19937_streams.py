@@ -13,7 +13,9 @@ behavior in ``test_vectorized_equivalence.py``.
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,7 +26,13 @@ if not HAVE_NUMPY:
 
 import numpy as np
 
-from repro.core.mt19937 import DOUBLES_PER_GENERATION, MTStreamBank, seed_states
+import repro.core.mt19937 as mt19937
+from repro.core.mt19937 import (
+    DOUBLES_PER_GENERATION,
+    PREFIX_BLOCKS,
+    MTStreamBank,
+    seed_states,
+)
 from repro.core.vectorized import derive_ball_seeds
 from repro.ids import sparse_ids, string_ids
 from repro.sim.rng import derive_seed
@@ -101,6 +109,104 @@ class TestStreamBank:
         bank = MTStreamBank([2**40 + 1])
         assert bank.draws(np.array([], dtype=np.int64)).size == 0
         assert bank.draws(np.array([0]))[0] == random.Random(2**40 + 1).random()
+
+
+def _assert_matches(bank, seeds, draws):
+    """``draws`` lock-step draws of every stream equal ``random.Random``."""
+    refs = [random.Random(seed) for seed in seeds]
+    everyone = np.arange(len(seeds))
+    for k in range(draws):
+        got = bank.draws(everyone).tolist()
+        assert got == [ref.random() for ref in refs], f"draw {k}"
+
+
+class TestPrefixAndOverflow:
+    """The bank keeps a ``P``-double prefix; later draws are the fallback's."""
+
+    SEEDS = [5, 2**40 + 1, derive_seed(9, "ball", 10097), 2**64 + 3]
+
+    @pytest.mark.parametrize("min_prefix", [1, 30, 114, 228, 312])
+    def test_every_cursor_through_draw_700(self, min_prefix):
+        """Covers P-1, P, P+1 for prefixes whose 2P twisted words stop
+        before, and run past, the N - M = 227 and 2(N - M) = 454 row
+        boundaries and the whole generation (P = 312), then the rollover
+        at 311/312/313 and draw 700."""
+        block = -(-min_prefix // PREFIX_BLOCKS)
+        bank = MTStreamBank(self.SEEDS, block=block)
+        assert bank.prefix == min(DOUBLES_PER_GENERATION, PREFIX_BLOCKS * block)
+        assert bank.prefix >= min_prefix
+        _assert_matches(bank, self.SEEDS, 702)
+
+    def test_one_call_mixes_overflowing_and_prefix_streams(self):
+        seeds = self.SEEDS
+        bank = MTStreamBank(seeds, block=2)
+        refs = [random.Random(seed) for seed in seeds]
+        ahead = bank.prefix + 5
+        for _ in range(ahead):  # stream 0 runs past the prefix alone
+            assert bank.draws(np.array([0]))[0] == refs[0].random()
+        for _ in range(bank.prefix - 1):  # stream 1 stops just inside it
+            assert bank.draws(np.array([1]))[0] == refs[1].random()
+        for _ in range(4):  # 0 overflows, 1 crosses P, 2 and 3 start
+            got = bank.draws(np.array([0, 1, 2, 3])).tolist()
+            assert got == [ref.random() for ref in refs]
+        assert bank.cursor.tolist() == [ahead + 4, bank.prefix + 3, 4, 4]
+
+    def test_odd_width_seeds_on_chunk_edges(self, monkeypatch):
+        """Sub-2**32 and >=2**64 keys seed as their own groups; placed on
+        both sides of every 4-column chunk boundary."""
+        monkeypatch.setattr(mt19937, "CHUNK_STREAMS", 4)
+        common = [derive_seed(1, "ball", k) for k in range(12)]
+        odd = [0, 7, 2**32 - 1, 2**64, 2**64 + 99, 2**96 + 5]
+        seeds = list(common)
+        for edge, seed in zip((0, 3, 4, 7, 8, 11), odd):
+            seeds[edge] = seed
+        bank = MTStreamBank(seeds, block=3)
+        _assert_matches(bank, seeds, bank.prefix + 3)
+
+    def test_thread_counts_are_byte_identical(self, monkeypatch):
+        monkeypatch.setattr(mt19937, "CHUNK_STREAMS", 8)
+        monkeypatch.setattr(mt19937, "MIN_STREAMS_PER_THREAD", 8)
+        seeds = derive_ball_seeds(list(range(5)), sparse_ids(9))
+        banks = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REPRO_VEC_THREADS", threads)
+            banks[threads] = MTStreamBank(seeds, block=4)
+        assert banks["1"]._doubles.tobytes() == banks["2"]._doubles.tobytes()
+        _assert_matches(banks["2"], seeds.tolist(), banks["2"].prefix + 2)
+
+
+class TestMemoryContract:
+    """Only the prefix, the cursors and the seeds outlive construction."""
+
+    def test_bank_holds_no_state_and_frees_its_scratch(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VEC_THREADS", "1")
+        chunk = 512
+        monkeypatch.setattr(mt19937, "CHUNK_STREAMS", chunk)
+        seeds = derive_ball_seeds(list(range(8)), sparse_ids(512))
+        S = len(seeds)
+        mt19937._base_state()  # the module's one permanent table
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bank = MTStreamBank(seeds, block=10)
+            P = bank.prefix
+            after, peak = tracemalloc.get_traced_memory()
+            arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
+            assert all(a.shape[0] != 624 for a in arrays)
+            assert sum(a.nbytes for a in arrays) <= S * (8 * P + 16)
+            scratch = (624 + 2 * P + 3 * mt19937.TWIST_ROWS) * 4 * chunk
+            # Row views, scalar tables, the key temporaries.
+            slack = 256 * 1024
+            assert after - before <= S * (8 * P + 16) + slack
+            # Building adds one chunk scratch and the (2, S) u32 keys.
+            assert peak - before <= S * (8 * P + 16) + scratch + 8 * S + slack
+            del bank, arrays
+            gc.collect()
+            # A surviving (624, S) state would be 8 MB here.
+            assert tracemalloc.get_traced_memory()[0] - before <= slack
+        finally:
+            tracemalloc.stop()
 
 
 class TestDeriveBallSeeds:
