@@ -10,7 +10,8 @@ measured, not asserted) at n in {256, 1024}, a *trial-throughput*
 workload — whole 100-trial failure-free cells through the batch API,
 columnar per-trial vs one vectorized stack — a *crash trial-throughput*
 workload (whole crash cells on the stacked crash engine vs per-trial
-columnar), and an *RNG-share* microbenchmark (scalar vs batched SHA-256
+columnar, the stacks timed unmonitored and under ``monitor="cheap"``),
+and an *RNG-share* microbenchmark (scalar vs batched SHA-256
 seed derivation, scalar C vs vectorized MT seeding) — and writes the
 measurements to ``BENCH_kernel.json`` at the repository root — the
 perf-trajectory artifact the CI benchmark job uploads.
@@ -320,12 +321,12 @@ def test_bench_kernel_writes_json(capsys):
             else:
                 spec_adv = AdversarySpec.parse(adversary)
 
-            def specs(kernel):
+            def specs(kernel, monitor="off"):
                 return [
                     TrialSpec(
                         algorithm="balls-into-leaves", n=n, seed=SEED + t,
                         adversary=spec_adv, halt_on_name=True, check=False,
-                        kernel=kernel, capture_errors=True,
+                        kernel=kernel, capture_errors=True, monitor=monitor,
                     )
                     for t in range(trials)
                 ]
@@ -336,15 +337,27 @@ def test_bench_kernel_writes_json(capsys):
             stacked_s, stacked_batch = _best_of(
                 reps, lambda: run_batch(specs("auto"), executor="serial")
             )
+            monitored_s, monitored_batch = _best_of(
+                reps,
+                lambda: run_batch(specs("auto", "cheap"), executor="serial"),
+            )
             assert {t.kernel for t in columnar_batch.trials} == {"columnar"}
             assert {t.kernel for t in stacked_batch.trials} == {"vectorized"}
-            # Bit-identity inside the timing loop, same policy as above.
-            for want, got in zip(columnar_batch.trials, stacked_batch.trials):
-                assert want.rounds == got.rounds
-                assert want.names == got.names
-                assert want.failures == got.failures
-                assert want.messages_delivered == got.messages_delivered
-                assert want.error == got.error
+            assert {t.kernel for t in monitored_batch.trials} == {"vectorized"}
+            # Bit-identity inside the timing loop, same policy as above;
+            # the monitored stack must find nothing and change nothing.
+            for want, got, watched in zip(
+                columnar_batch.trials,
+                stacked_batch.trials,
+                monitored_batch.trials,
+            ):
+                for row in (got, watched):
+                    assert want.rounds == row.rounds
+                    assert want.names == row.names
+                    assert want.failures == row.failures
+                    assert want.messages_delivered == row.messages_delivered
+                    assert want.error == row.error
+                    assert want.violations == row.violations
             crash_trial_cells.append(
                 {
                     "workload": "crash-trial-throughput",
@@ -357,7 +370,9 @@ def test_bench_kernel_writes_json(capsys):
                     "reps": reps,
                     "columnar_s": round(columnar_s, 6),
                     "vectorized_s": round(stacked_s, 6),
+                    "vectorized_monitored_s": round(monitored_s, 6),
                     "speedup_vs_columnar": round(columnar_s / stacked_s, 2),
+                    "monitor_overhead": round(monitored_s / stacked_s, 3),
                     "floor": floor,
                 }
             )
@@ -442,7 +457,9 @@ def test_bench_kernel_writes_json(capsys):
             "crash engine; trial_cells = 100-trial failure-free cells "
             "via run_batch, columnar per-trial vs one vectorized stack; "
             "crash_trial_cells = whole crash cells on the stacked crash "
-            "engine vs per-trial columnar; rng_share = scalar vs "
+            "engine vs per-trial columnar, plus the same stacks under "
+            "monitor=cheap (monitor_overhead = monitored / unmonitored "
+            "stacked wall clock); rng_share = scalar vs "
             "vectorized seed derivation, and C Random(seed) seeding vs "
             "building the stacked MTStreamBank (seeding plus every "
             "stream's draw prefix) with its resident bytes per stream"
@@ -497,6 +514,7 @@ def test_bench_kernel_writes_json(capsys):
                 f"crash {cell['adversary']:>22} n={cell['n']:>4} "
                 f"x{cell['trials']}: "
                 f"stacked {cell['vectorized_s']:.3f}s  "
+                f"monitored {cell['vectorized_monitored_s']:.3f}s  "
                 f"columnar {cell['columnar_s']:.3f}s "
                 f"({cell['speedup_vs_columnar']:.1f}x)"
             )

@@ -22,7 +22,9 @@ chunk by chunk:
   little-endian 32-bit words) advanced for every column of the chunk
   per step, with seeds batched *by key width* so unusual widths
   (sub-32-bit seeds, giant integers) still seed vectorized instead of
-  one stream at a time;
+  one stream at a time; a build narrower than one chunk keeps only the
+  ``4P + 1`` state rows its prefix reads (:func:`_mix_compact`), so a
+  memory-shaped crash stack's scratch is a fraction of a full state;
 * only the first ``2P`` words of the first generation are twisted and
   tempered, a few rows per pass so the pass stays cache-resident;
 * doubles are assembled exactly as CPython's ``random()`` does
@@ -114,7 +116,11 @@ PREFIX_BLOCKS = 3
 #: on ~6000 seeding calls, so narrow chunks are slow: one thread builds
 #: 131072 streams in 0.38 s at 16384 columns, 0.35 s at 21846-24576 and
 #: 0.33 s at 32768 (2-core Xeon).  24576 keeps within 0.02 s of the
-#: widest measured chunk at three quarters of its scratch.
+#: widest measured chunk at three quarters of its scratch.  Narrower
+#: builds seed in one compact pass instead (``4P + 1`` state rows, 1.5x
+#: the steps): at 3840 streams and P=24 that is 13-15 ms with 2.4 MB of
+#: scratch, against 26 ms for four 1024-column full-state chunks
+#: (2.8 MB) or 11-13 ms for one (10.5 MB).
 CHUNK_STREAMS = 24576
 
 #: Words twisted, tempered and paired per pass (even): the few rows of
@@ -268,6 +274,84 @@ def _mix_group(mt: "np.ndarray", keys: "np.ndarray", tmp: "np.ndarray") -> None:
     rows[0][...] = np.uint32(0x80000000)
 
 
+def _mix_compact(
+    state: "np.ndarray", keys: "np.ndarray", scratch: "np.ndarray"
+) -> None:
+    """``init_by_array`` keeping only the state rows a short prefix reads.
+
+    Twisting the first ``R <= N - M`` words reads state rows ``0..R``
+    and ``M..M+R-1``; ``state`` is a ``(2R + 1, G)`` buffer receiving
+    exactly those (rows ``0..R``, then ``M..M+R-1``).  ``keys`` is the
+    ``(W, G)`` folded key matrix (``W <= 624``) and ``scratch`` a
+    ``(4, G)`` u32 buffer.
+
+    :func:`_mix_group`'s schedule for such a key is 624 mixing steps
+    (rows 1..623, then row 1 again) and 623 decay steps (rows 2..623,
+    then row 1), and decay step ``i`` reads mixing row ``i`` — known
+    since step ``i - 1`` — and decay row ``i - 1``.  Only the decay
+    pass's start (mixing row 1's revisit) waits for the end of the
+    mixing pass, so instead of holding all 624 mixing rows the mixing
+    chain runs twice: once to that revisit, then again in lock-step
+    with the decay pass.  Every step is the reference's arithmetic.
+    """
+    width = keys.shape[0]
+    span = (state.shape[0] - 1) // 2
+    base = list(_base_state())
+    key_rows = list(keys)
+    first, mix, decay, tmp = scratch
+    shift, xor, mul = np.right_shift, np.bitwise_xor, np.multiply
+    mix1 = np.uint32(1664525)
+    mix2 = np.uint32(1566083941)
+
+    def mix_step(row: "np.ndarray", prev: "np.ndarray", i: int) -> None:
+        # First visit of mixing row ``i`` (step ``i - 1``), into ``row``.
+        shift(prev, _U32_30, tmp)
+        xor(tmp, prev, tmp)
+        mul(tmp, mix1, tmp)
+        xor(tmp, base[i], row)
+        np.add(row, key_rows[(i - 1) % width], row)
+
+    def decay_step(row: "np.ndarray", mixed: "np.ndarray", i: int) -> None:
+        # Decay row ``i`` from mixing row ``i`` and decay row ``i - 1``
+        # (``row`` holds the latter and is overwritten).
+        shift(row, _U32_30, tmp)
+        xor(tmp, row, tmp)
+        mul(tmp, mix2, tmp)
+        xor(mixed, tmp, row)
+        np.subtract(row, np.uint32(i), row)
+
+    b0 = int(base[0])
+    head = (int(base[1]) ^ ((1664525 * (b0 ^ (b0 >> 30))) & 0xFFFFFFFF)) & 0xFFFFFFFF
+    np.add(key_rows[0], np.uint32(head), first)
+    mix[...] = first
+    for i in range(2, _N):
+        mix_step(mix, mix, i)
+    # Mixing row 1's revisit (step 623) reads row 0 = row 623.
+    shift(mix, _U32_30, tmp)
+    xor(tmp, mix, tmp)
+    mul(tmp, mix1, tmp)
+    revisit = decay
+    xor(first, tmp, revisit)
+    np.add(revisit, key_rows[(_N - 1) % width], revisit)
+    # Decay rows 2..623 beside a second run of mixing rows 2..623.
+    mix[...] = first
+    state[1] = revisit
+    for i in range(2, _N):
+        mix_step(mix, mix, i)
+        decay_step(decay, mix, i)
+        if i <= span:
+            state[i] = decay
+        elif _M <= i < _M + span:
+            state[span + 1 + i - _M] = decay
+    # Decay row 1 reads row 0 = decay row 623; row 0 is then fixed.
+    shift(decay, _U32_30, tmp)
+    xor(tmp, decay, tmp)
+    mul(tmp, mix2, tmp)
+    xor(state[1], tmp, state[1])
+    np.subtract(state[1], np.uint32(1), state[1])
+    state[0] = np.uint32(0x80000000)
+
+
 def _key_matrix(seeds: _Seeds) -> Tuple["np.ndarray", Dict[int, List[int]]]:
     """The two-word keys of ``seeds`` plus the odd-width columns.
 
@@ -326,7 +410,12 @@ def seed_states(seeds: _Seeds) -> "np.ndarray":
 
 
 def _twist_rows(
-    mt: "np.ndarray", words: "np.ndarray", lo: int, hi: int, y: "np.ndarray"
+    mt: "np.ndarray",
+    words: "np.ndarray",
+    lo: int,
+    hi: int,
+    y: "np.ndarray",
+    mix_row: int = _M,
 ) -> None:
     """Untempered next-generation words ``lo..hi`` (exclusive) of state
     ``mt`` into ``words``, given every word below ``lo``.
@@ -335,12 +424,15 @@ def _twist_rows(
     the freshly twisted word ``N - M`` rows back (already produced, as a
     call spans fewer rows), and the final row pairs old word 623 with
     *new* word 0 — the wrap-around of the in-place reference loop.
-    ``y`` is u32 scratch of at least ``hi - lo`` rows.
+    ``y`` is u32 scratch of at least ``hi - lo`` rows.  ``mix_row`` is
+    where state row ``M`` sits in ``mt`` (a compact state from
+    :func:`_mix_compact` keeps it right after rows ``0..hi``).
     """
     while lo < hi:
         if lo < _N - _M:
             top = min(hi, _N - _M)
-            cur, nxt, mixed = mt[lo:top], mt[lo + 1 : top + 1], mt[lo + _M : top + _M]
+            cur, nxt = mt[lo:top], mt[lo + 1 : top + 1]
+            mixed = mt[lo + mix_row : top + mix_row]
         elif lo < _N - 1:
             top = min(hi, _N - 1)
             cur, nxt = mt[lo:top], mt[lo + 1 : top + 1]
@@ -362,7 +454,11 @@ def _twist_rows(
 
 
 def _prefix_doubles(
-    mt: "np.ndarray", words: "np.ndarray", tmp: "np.ndarray", out: "np.ndarray"
+    mt: "np.ndarray",
+    words: "np.ndarray",
+    tmp: "np.ndarray",
+    out: "np.ndarray",
+    mix_row: int = _M,
 ) -> None:
     """The first ``len(out)`` ``random()`` doubles of state ``mt``.
 
@@ -376,7 +472,7 @@ def _prefix_doubles(
     for lo in range(0, total, TWIST_ROWS):
         hi = min(total, lo + TWIST_ROWS)
         rows = hi - lo
-        _twist_rows(mt, words, lo, hi, y)
+        _twist_rows(mt, words, lo, hi, y, mix_row)
         w, tt, uu = words[lo:hi], t[:rows], u[:rows]
         np.right_shift(w, _U32_11, out=tt)
         np.bitwise_xor(tt, w, out=tt)
@@ -400,15 +496,27 @@ def _prefix_doubles(
 
 def _fill_prefix(keys: "np.ndarray", out: "np.ndarray") -> Tuple[float, float]:
     """Seed the streams of ``keys`` and write their first ``len(out)``
-    doubles into ``out``, in equal chunks of at most ``CHUNK_STREAMS``
-    columns through one scratch state.  Returns the seconds spent
-    seeding and twisting (zeros unless telemetry is on)."""
+    doubles into ``out``.  Returns the seconds spent seeding and
+    twisting (zeros unless telemetry is on).
+
+    Wide builds run equal chunks of at most ``CHUNK_STREAMS`` columns
+    through one full ``(624, C)`` scratch state.  A build narrower than
+    one chunk (a memory-shaped crash stack, a small cell) seeds through
+    :func:`_mix_compact` instead: one pass over all its columns with
+    only the ``4P + 1`` state rows the prefix reads (97 of 624 at
+    n=256) for 1.5x the seeding steps — as little scratch as splitting
+    it into 1024-column full-state chunks, at about half their time.
+    """
     count = keys.shape[1]
+    nwords = 2 * out.shape[0]
+    compact = (
+        count < CHUNK_STREAMS and nwords <= _N - _M and keys.shape[0] <= _N
+    )
     chunks = max(1, -(-count // CHUNK_STREAMS))
     width = max(1, -(-count // chunks))
-    mt_buf = np.empty((_N, width), dtype=np.uint32)
+    mt_buf = np.empty((2 * nwords + 1 if compact else _N, width), dtype=np.uint32)
     # Untempered next-generation words (later twist rows read them).
-    words_buf = np.empty((2 * out.shape[0], width), dtype=np.uint32)
+    words_buf = np.empty((nwords, width), dtype=np.uint32)
     tmp_buf = np.empty((3, TWIST_ROWS, width), dtype=np.uint32)
     clock = TIMERS.start
     seeding_s = twist_s = 0.0
@@ -417,9 +525,18 @@ def _fill_prefix(keys: "np.ndarray", out: "np.ndarray") -> Tuple[float, float]:
         mt = mt_buf[:, : hi - lo]
         tmp = tmp_buf[:, :, : hi - lo]
         started = clock()
-        _mix_group(mt, keys[:, lo:hi], tmp[0, 0])
+        if compact:
+            _mix_compact(mt, keys[:, lo:hi], tmp[0])
+        else:
+            _mix_group(mt, keys[:, lo:hi], tmp[0, 0])
         seeded = clock()
-        _prefix_doubles(mt, words_buf[:, : hi - lo], tmp, out[:, lo:hi])
+        _prefix_doubles(
+            mt,
+            words_buf[:, : hi - lo],
+            tmp,
+            out[:, lo:hi],
+            nwords + 1 if compact else _M,
+        )
         seeding_s += seeded - started
         twist_s += clock() - seeded
     return seeding_s, twist_s

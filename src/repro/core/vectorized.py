@@ -30,16 +30,18 @@ stacking exact:
   frozen pre-round counts; recomputing them per ball vectorized yields
   the identical IEEE-754 doubles the scalar memo produced.
 
-Supported grid: failure-free runs of the BiL-family policies on the
-shared view store, matching :func:`vectorized_rejections`.  Everything
-else (crashes, faithful views, traces, ...) stays on the columnar or
-reference engines via kernel fallback.
+Supported grid: the BiL-family policies on the shared view store,
+matching :func:`vectorized_rejections` — failure-free here, and under
+certified crash adversaries on :class:`VectorizedCrashEngine` below.
+Everything else (faithful views, full traces, ...) stays on the
+columnar or reference engines via kernel fallback.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from itertools import compress
 from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from collections.abc import Mapping
@@ -727,6 +729,25 @@ class VectorizedCellEngine:
         top = int(named.max()) if named.size else -1
         return top if top >= 0 else None
 
+    def monitor_rows(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """The live view class rows in monitor form: ``(pos, status,
+        trial)``, one shared row per trial with a running ball (the
+        zero-crash case of :meth:`VectorizedCrashEngine.monitor_rows`).
+
+        The stacked twin of ``ColumnarBallsEngine.monitor_views()``:
+        halted balls keep their leaf, ANNOUNCED under halt-on-name.
+        """
+        T, n = self.trials, self.n
+        live = np.flatnonzero(self.running > 0)
+        pos = self.pos.reshape(T, n)[live]
+        if self._halt_on_name:
+            status = self.halted.reshape(T, n)[live].view(np.uint8) * np.uint8(
+                _ANNOUNCED
+            )
+        else:
+            status = np.zeros(pos.shape, dtype=np.uint8)
+        return pos, status, live
+
 
 # --------------------------------------------------------------------------
 # Crash-capable stacked engine: every live view class of every trial is one
@@ -792,7 +813,11 @@ class VectorizedCrashEngine:
     Unlike the scalar engines, a trial that exhausts ``max_rounds`` does
     not raise mid-stack: it is flagged in :attr:`overrun` (with the
     running count the columnar engine would have reported) and the other
-    trials keep going.  The sim layer re-raises or captures per trial.
+    trials keep going.  Monitored stacks attach the stacked invariant
+    monitor as :meth:`run`'s observer; it reads the live class rows
+    (:meth:`monitor_rows`) and a trial it proves stalled is flagged in
+    :attr:`stopped` and advances no further.  The sim layer re-raises or
+    captures either per trial.
     """
 
     def __init__(
@@ -835,7 +860,10 @@ class VectorizedCrashEngine:
         }
         # Adversary context exposes pids in *input* order (the reference
         # simulator's process-dict insertion order), not label order.
-        self._input_order: List[int] = [self._index_of[pid] for pid in ids]
+        self._input_order = np.array(
+            [self._index_of[pid] for pid in ids], dtype=np.int64
+        )
+        self._input_labels: List[BallId] = list(ids)
         self._policy = policy
         self._halt_on_name = halt_on_name
         self._budget = crash_budget
@@ -879,7 +907,7 @@ class VectorizedCrashEngine:
         self.rounds = np.zeros(T, dtype=np.int32)
         self.overrun = np.zeros(T, dtype=bool)
         self.running_at_limit = np.zeros(T, dtype=np.int32)
-        #: Never set: stacked crash cells run unmonitored.
+        #: (T,) trials the observer stopped (a proven stall).
         self.stopped = np.zeros(T, dtype=bool)
         # Candidate paths, rows indexed by absolute node depth.
         self._path = np.zeros((S, topo.height + 1), dtype=np.int32)
@@ -897,17 +925,34 @@ class VectorizedCrashEngine:
         self._round = 0
 
     # ------------------------------------------------------------------ driving
-    def run(self) -> None:
+    def run(
+        self,
+        stop_after: Optional[int] = None,
+        observer: Optional[Callable[..., Optional["np.ndarray"]]] = None,
+    ) -> None:
         """All trials to completion or to the shared round limit.
 
         Mirrors the per-trial kernel loop: a trial still running when
         ``max_rounds`` rounds have completed is marked overrun with the
         running count the columnar engine's raise would have carried.
+        ``stop_after`` and ``observer`` are :meth:`VectorizedCellEngine.run`'s:
+        the stack pauses (resumably) once that round has completed, and
+        ``observer(engine, round_no, active)`` — the stacked invariant
+        monitor's hook — runs after every completed round and may return
+        a (T,) bool mask of trials to stop there, recorded in
+        :attr:`stopped`.
         """
+        if self._policy in ("random", "hybrid"):
+            # Drawing policies build the bank before round 1, while the
+            # stack holds little else: its build scratch is freed before
+            # the round passes allocate theirs (a lower high-water mark).
+            self._stream_bank()
         round_no = self._round
         while True:
-            active = (self.running > 0) & ~self.overrun
+            active = (self.running > 0) & ~self.overrun & ~self.stopped
             if not active.any():
+                break
+            if stop_after is not None and round_no >= stop_after:
                 break
             if round_no >= self.max_rounds:
                 self.overrun |= active
@@ -920,6 +965,10 @@ class VectorizedCrashEngine:
             self._round = round_no
             self.step(round_no)
             self.rounds[active] = round_no
+            if observer is not None:
+                stop = observer(self, round_no, active)
+                if stop is not None:
+                    self.stopped |= stop
 
     def step(self, round_no: int) -> None:
         """One full round for every active trial: compose, crash plan,
@@ -965,32 +1014,11 @@ class VectorizedCrashEngine:
         # pattern matrix), computed once per distinct pattern.
         trial_sig: Dict[int, Any] = {}
         npat = 1
-        for t, events in partial.items():
+        for t, (mem, vmask, vlen, _victims) in partial.items():
             where = np.flatnonzero(r_trial == t)
             if where.size == 0:
                 continue
-            camp_sets: List[frozenset] = []
-            camp_victims: List[List[int]] = []
-            camp_idx: Dict[frozenset, int] = {}
-            for j, kept in events:
-                k = camp_idx.get(kept)
-                if k is None:
-                    camp_idx[kept] = k = len(camp_sets)
-                    camp_sets.append(kept)
-                    camp_victims.append([])
-                camp_victims[k].append(j)
-            ncamps = len(camp_sets)
-            mem = np.zeros((ncamps, n), dtype=bool)
-            index_of = self._index_of
-            for k, kept in enumerate(camp_sets):
-                cols = [index_of[pid] for pid in kept if pid in index_of]
-                if cols:
-                    mem[k, cols] = True
-            vmask = np.zeros((ncamps, n), dtype=np.int64)
-            vlen = np.zeros(ncamps, dtype=np.int64)
-            for k, vs in enumerate(camp_victims):
-                vmask[k, vs] = 1
-                vlen[k] = len(vs)
+            ncamps = mem.shape[0]
             patterns = mem[:, r_j[where]].T
             if ncamps <= 62:
                 # Row identity as one int64 key: a plain 1-D unique,
@@ -1007,8 +1035,9 @@ class VectorizedCrashEngine:
                     patterns, axis=0, return_inverse=True
                 )
             r_pat[where] = inverse.reshape(-1)
-            urows = uniq.astype(np.int64)
-            trial_sig[t] = ((urows @ vmask) > 0, urows @ vlen)
+            # Boolean matmul: a pattern sees a victim iff any of its
+            # camps holds it.
+            trial_sig[t] = (uniq @ vmask, uniq.astype(np.int64) @ vlen)
             npat = max(npat, uniq.shape[0])
 
         # Delivery groups: (trial, pre-class, signature pattern).
@@ -1032,8 +1061,8 @@ class VectorizedCrashEngine:
                 g_sig[rows] = smask[pat]
                 g_siglen[rows] = slen[pat]
         partial_count = np.zeros(T, dtype=np.int64)
-        for t, events in partial.items():
-            partial_count[t] = len(events)
+        for t, camps in partial.items():
+            partial_count[t] = camps[3]
         base_count = sent_row - partial_count
         delivered_row = np.zeros(T, dtype=np.int64)
         if recv.size:
@@ -1097,7 +1126,9 @@ class VectorizedCrashEngine:
                 remap[g] = g
             else:
                 remap[g] = hit
-        keep = np.unique(remap)
+        # Canonical rows map to themselves (a plain np.unique here would
+        # also pull in numpy.ma, ~1.2 MB resident, for its masked check).
+        keep = np.flatnonzero(remap == np.arange(G))
         ridx = np.full(G, -1, dtype=np.int64)
         ridx[keep] = np.arange(keep.size, dtype=np.int64)
         self._cpos = np.ascontiguousarray(new_pos[keep])
@@ -1146,6 +1177,17 @@ class VectorizedCrashEngine:
             np.where(active, self.running.astype(np.int64), 0)
         )
 
+    def monitor_rows(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """The live view class rows in monitor form: ``(pos, status,
+        trial)`` for every class with a running member, trial-sorted.
+
+        The stacked twin of ``ColumnarCrashEngine.monitor_views()``:
+        crashed and halted balls do not keep a class live.
+        """
+        members = self.cls_of[(self.cls_of >= 0) & ~self.crashed & ~self.halted]
+        rows = np.flatnonzero(np.bincount(members, minlength=self._crows))
+        return self._cpos[rows], self._cstat[rows], self._ctrial[rows]
+
     # -------------------------------------------------------------- adversary
     def _plan_and_crash(
         self,
@@ -1153,19 +1195,21 @@ class VectorizedCrashEngine:
         kind: str,
         sent_balls: "np.ndarray",
         active: "np.ndarray",
-    ) -> Tuple["np.ndarray", Dict[int, List[Any]]]:
+    ) -> Tuple["np.ndarray", Dict[int, Tuple[Any, ...]]]:
         """Plan, clamp and apply every active trial's crashes.
 
-        Returns the per-trial crash counts and the partial victims
-        (``trial -> [(ball index, kept receivers), ...]`` in clamped plan
-        order) whose broadcasts some receivers still see.
+        Returns the per-trial crash counts and, per trial whose partial
+        victims' broadcasts some receivers still see, those victims'
+        delivery camps (:meth:`_camps`) — built as each plan lands, so
+        the plans' receiver sets never pile up across the stack.
         """
         n = self.n
         T = self.trials
         labels = self.labels
+        input_labels = self._input_labels
         nodes = self._nodes
         crashes_row = np.zeros(T, dtype=np.int64)
-        partial: Dict[int, List[Any]] = {}
+        partial: Dict[int, Tuple[Any, ...]] = {}
         self._victim.fill(False)
         for t in np.flatnonzero(active).tolist():
             adv = self._adversaries[t]
@@ -1176,8 +1220,9 @@ class VectorizedCrashEngine:
                 continue
             base = t * n
             sent_list = sent_balls[base : base + n].tolist()
+            in_order = base + self._input_order
             running_pids = tuple(
-                labels[j] for j in self._input_order if sent_list[j]
+                compress(input_labels, sent_balls[in_order].tolist())
             )
             if kind == "init":
                 hello = hello_message()
@@ -1204,17 +1249,17 @@ class VectorizedCrashEngine:
                         nodes[int(self._announced[base + self._index_of[pid]])]
                     )
 
-            crashed_list = self.crashed[base : base + n].tolist()
-            alive = [
-                labels[j] for j in self._input_order if not crashed_list[j]
-            ]
+            crashed_row = self.crashed[base : base + n]
+            alive = list(
+                compress(input_labels, (~self.crashed[in_order]).tolist())
+            )
             ctx = AdversaryContext(
                 round_no=round_no,
                 running=running_pids,
                 alive=tuple(alive),
                 outbox=_LazyOutbox(running_pids, fetch),
                 crashed_so_far=frozenset(
-                    labels[j] for j in range(n) if crashed_list[j]
+                    compress(labels, crashed_row.tolist())
                 ),
                 budget_remaining=remaining,
                 processes=_ProcessIntrospectionUnavailable(alive),
@@ -1237,8 +1282,41 @@ class VectorizedCrashEngine:
                     self._victim[s] = True
                     events.append((j, kept))
             if events:
-                partial[t] = events
+                partial[t] = self._camps(events)
         return crashes_row, partial
+
+    def _camps(self, events: List[Tuple[int, Any]]) -> Tuple[Any, ...]:
+        """One trial's partial victims as delivery camps.
+
+        Victims sharing a kept-receiver set form one camp.  Returns
+        ``(mem, vmask, vlen, victims)``: camp membership by label rank
+        ``(camps, n)``, each camp's victims as a ``(camps, n)`` mask and
+        count, and the trial's partial-victim count.
+        """
+        n = self.n
+        index_of = self._index_of
+        camp_sets: List[Any] = []
+        camp_victims: List[List[int]] = []
+        camp_idx: Dict[Any, int] = {}
+        for j, kept in events:
+            k = camp_idx.get(kept)
+            if k is None:
+                camp_idx[kept] = k = len(camp_sets)
+                camp_sets.append(kept)
+                camp_victims.append([])
+            camp_victims[k].append(j)
+        ncamps = len(camp_sets)
+        mem = np.zeros((ncamps, n), dtype=bool)
+        for k, kept in enumerate(camp_sets):
+            cols = [j for j in map(index_of.get, kept) if j is not None]
+            if cols:
+                mem[k, cols] = True
+        vmask = np.zeros((ncamps, n), dtype=bool)
+        vlen = np.zeros(ncamps, dtype=np.int64)
+        for k, vs in enumerate(camp_victims):
+            vmask[k, vs] = True
+            vlen[k] = len(vs)
+        return mem, vmask, vlen, len(events)
 
     # --------------------------------------------------------------- the rounds
     def _apply_path_groups(
@@ -1601,13 +1679,18 @@ class VectorizedCrashEngine:
         out[cc, ii] = _grouped_ranks(keys)
         return out
 
-    def _draw(self, balls: "np.ndarray") -> "np.ndarray":
+    def _stream_bank(self) -> MTStreamBank:
+        """The stack's per-ball streams, built on first use."""
         bank = self._bank
         if bank is None:
             bank = self._bank = MTStreamBank(
                 derive_ball_seeds(self._trial_seeds, self.labels),
                 block=max(4, self._topo.height),
             )
+        return bank
+
+    def _draw(self, balls: "np.ndarray") -> "np.ndarray":
+        bank = self._stream_bank()
         return bank.draws(balls)
 
     def _walk_random(

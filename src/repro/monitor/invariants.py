@@ -420,35 +420,47 @@ class ReferenceMonitorAdapter:
 
 
 class StackedMonitor:
-    """Per-round monitoring of a ``VectorizedCellEngine``, all trials at
-    once.
+    """Per-round monitoring of a stacked engine, all trials at once.
 
-    The screens are O(T·n) ufunc passes (a handful per round, against
-    the engine's own dozens); a trial flagged by any screen drops to the
-    scalar :func:`evaluate_round` for that round, so the violation
-    strings are identical to the scalar monitors'.
+    Serves both stacked engines through their view *class rows*
+    (``engine.monitor_rows()``): a ``VectorizedCrashEngine`` exposes the
+    live rows of its class matrices, and a ``VectorizedCellEngine`` is
+    the zero-crash case with one shared row per running trial — the
+    stacked twin of :func:`observe_crash_engine` over
+    ``monitor_views()``.  A row is live while its class has a running
+    member (crashed and halted balls excluded); rows are distinct within
+    a trial (the engines merge equal classes).
+
+    The screens are O(C·n + S) ufunc passes over the C live rows and the
+    S stacked balls; a trial flagged by any screen drops to the scalar
+    :func:`evaluate_round` with its exact views for that round, so the
+    violation strings are identical to :class:`RunMonitor`'s.
     """
 
     def __init__(self, engine, *, stall_window: int = STALL_WINDOW) -> None:
-        self.engine = engine
         self.labels = engine.labels
-        self.n = engine.n
-        self.trials = engine.trials
-        self.halt_on_name = engine._halt_on_name
+        self.n = n = engine.n
+        self.trials = T = engine.trials
         self.stall_window = stall_window
         from repro.tree.topology import cached_topology
 
-        self.arrays = cached_topology(self.n).arrays()
-        self._is_leaf_tiled = np.tile(engine._topo.is_leaf, engine.trials)
+        self.arrays = cached_topology(n).arrays()
+        topo = engine._topo
+        # Node -> leaf slot: the leaf's rank at a leaf, ``n`` at an inner
+        # node, plus a trailing ``n`` for the -1 "absent" position.
+        self._leaf_slot = np.append(
+            np.where(topo.is_leaf, topo.leaf_rank, n), n
+        ).astype(np.int64)
+        self._ball_trial = np.repeat(np.arange(T, dtype=np.int64), n)
         self._violations: Dict[int, List[Violation]] = {}
-        self._streak = np.zeros(engine.trials, dtype=np.int64)
-        self._stalled = np.zeros(engine.trials, dtype=bool)
+        #: First round each ball was observed crashed (-1 = never).
+        self._crash_round = np.full(T * n, -1, dtype=np.int32)
+        self._streak = np.zeros(T, dtype=np.int64)
+        self._stalled = np.zeros(T, dtype=bool)
         #: Trials still observed: running at the previous observation and
         #: not stalled (a per-trial run stops being observed when it ends).
-        self._observed = np.ones(engine.trials, dtype=bool)
-        self._prev_pos = None
-        self._prev_halted = None
-        self._prev_decision = None
+        self._observed = np.ones(T, dtype=bool)
+        self._prev: Optional[Tuple] = None
 
     @property
     def deadlocked(self) -> bool:
@@ -470,121 +482,149 @@ class StackedMonitor:
         """
         n = self.n
         T = self.trials
-        pos = engine.pos
-        halted = engine.halted
+        observed = self._observed
         decision = engine.decision
+        crashed = engine.crashed
+        running = engine.running
+        pos, status, row_trial = engine.monitor_rows()
+        ball_trial = self._ball_trial
+        first_seen = crashed & (self._crash_round < 0) & np.repeat(observed, n)
+        self._crash_round[first_seen] = round_no
         flagged = np.zeros(T, dtype=bool)
 
-        # Namespace screen: any decided name out of 0..n-1.
-        bad_name = decision >= n
+        # Namespace + uniqueness over the decisions of non-crashed balls.
+        decided = (decision >= 0) & ~crashed
+        bad_name = decided & (decision >= n)
         if bad_name.any():
-            flagged |= np.bincount(
-                engine._trial[bad_name], minlength=T
-            ).astype(bool)
+            flagged[ball_trial[bad_name]] = True
+        named = decided & ~bad_name
+        if named.any():
+            keys = ball_trial[named] * n + decision[named]
+            dupes = np.flatnonzero(np.bincount(keys, minlength=T * n) > 1)
+            flagged[dupes // n] = True
 
-        # Uniqueness screen: duplicate decided names within a trial.
-        decided = decision >= 0
-        if decided.any():
-            keys = (
-                engine._trial[decided] * np.int64(n)
-                + np.minimum(decision[decided], n - 1)
+        # Leaf-capacity, retention and crash-retention over live rows.
+        if row_trial.size:
+            L = row_trial.size
+            slot = self._leaf_slot[pos]
+            announced = status == _ANNOUNCED
+            if announced.any():
+                bad_row = (announced & (pos >= 0) & (slot == n)).any(axis=1)
+                # Announced terminators do not count against capacity.
+                slot[announced] = n
+            else:
+                bad_row = np.zeros(L, dtype=bool)
+            # Per-row leaf occupancy by non-announced balls; column n
+            # collects inner and absent positions.
+            slot += np.arange(0, L * (n + 1), n + 1, dtype=np.int64)[:, None]
+            occupancy = np.bincount(slot.ravel(), minlength=L * (n + 1))
+            bad_row |= (occupancy.reshape(L, n + 1)[:, :n] > 1).any(axis=1)
+            stale = crashed & (self._crash_round >= 0) & (
+                self._crash_round < round_no
             )
-            counts = np.bincount(keys, minlength=T * n)
-            dupes = np.flatnonzero(counts > 1)
-            if dupes.size:
-                flagged |= np.bincount(
-                    (dupes // n).astype(np.int64), minlength=T
-                ).astype(bool)
-
-        # Leaf-capacity / retention screens over the shared view.
-        at_leaf = self._is_leaf_tiled[engine._tbase + pos]
-        if self.halt_on_name and (halted & ~at_leaf).any():
-            flagged |= np.bincount(
-                engine._trial[halted & ~at_leaf], minlength=T
-            ).astype(bool)
-        occ_keys = engine._tbase + pos
-        occupancy = np.bincount(
-            occ_keys[at_leaf], minlength=T * engine._topo.node_count
-        )
-        allowance = 1
-        if self.halt_on_name and halted.any():
-            announced = np.bincount(
-                occ_keys[at_leaf & halted],
-                minlength=T * engine._topo.node_count,
-            )
-            over = occupancy > 1 + announced
-        else:
-            over = occupancy > allowance
-        if over.any():
-            flagged |= np.bincount(
-                (np.flatnonzero(over) // engine._topo.node_count).astype(
-                    np.int64
-                ),
-                minlength=T,
-            ).astype(bool)
+            if stale.any():
+                ghosts = stale.reshape(T, n)[row_trial]
+                ghosts &= (pos >= 0) & (status == _ACTIVE)
+                bad_row |= ghosts.any(axis=1)
+            flagged[row_trial[bad_row]] = True
 
         # Flagged trials re-run the scalar predicates for identical
         # attribution/wording (rare by construction: a screen only fires
         # on an actual violation).  Trials that ended or stalled in an
         # earlier round are no longer observed, like a per-trial run
         # that has returned or aborted.
-        observed = self._observed
-        for t in map(int, np.flatnonzero(flagged & observed)):
-            base = t * n
-            trial_pos = pos[base : base + n].tolist()
-            trial_halted = halted[base : base + n]
-            if self.halt_on_name:
-                status = bytes(
-                    _ANNOUNCED if h else _ACTIVE for h in trial_halted
-                )
-            else:
-                status = bytes(n)
-            trial_decisions = [
-                None if d < 0 else int(d)
-                for d in decision[base : base + n]
-            ]
-            if int(engine.running[t]) > 0:
-                views = [(trial_pos, status)]
-            else:
-                views = []
-            found = evaluate_round(
-                round_no,
-                self.arrays,
-                self.labels,
-                views=views,
-                decisions=trial_decisions,
+        bounds = np.searchsorted(row_trial, np.arange(T + 1))
+        for t in np.flatnonzero(flagged & observed).tolist():
+            found = self._evaluate(
+                t, round_no, engine, pos, status, bounds[t], bounds[t + 1]
             )
             if found:
                 self._violations.setdefault(t, []).extend(found)
 
-        # Progress: per-trial frozen-state streaks (same fingerprint the
-        # scalar monitor hashes: positions, lifecycle, decisions).
-        if self._prev_pos is not None:
-            same = (
-                (pos == self._prev_pos)
-                & (halted == self._prev_halted)
-                & (decision == self._prev_decision)
+        # Progress: per-trial frozen-state streaks over RunMonitor's
+        # fingerprint (live rows as a set, decisions, crash flags,
+        # running count).  Cheap signals first; the trials none of them
+        # moved compare their rows in order, and a trial whose rows
+        # differ only in order compares them as sets.
+        row_count = np.diff(bounds)
+        current = (
+            pos, status, row_trial, bounds, row_count,
+            decision.copy(), crashed.copy(), running.copy(),
+        )
+        same = np.zeros(T, dtype=bool)
+        if self._prev is not None:
+            p_pos, p_stat, p_trial, p_bounds, p_count, p_dec, p_crash, p_run = (
+                self._prev
             )
-            trial_same = np.logical_and.reduceat(
-                same, np.arange(0, T * n, n)
-            ) & (engine.running > 0) & observed
-            self._streak = np.where(trial_same, self._streak + 1, 0)
-            firing = (self._streak == self.stall_window) & ~self._stalled
-            if firing.any():
-                self._stalled |= firing
-                for t in np.flatnonzero(firing):
-                    t = int(t)
-                    self._violations.setdefault(t, []).append(
-                        Violation(
-                            "progress",
-                            round_no,
-                            f"no state change for {self.stall_window} "
-                            f"rounds with {int(engine.running[t])} "
-                            f"ball(s) running",
-                        )
+            same = (
+                (running > 0)
+                & observed
+                & (running == p_run)
+                & (row_count == p_count)
+            )
+            moved = (decision != p_dec) | (crashed != p_crash)
+            if moved.any():
+                same[ball_trial[moved]] = False
+            if same.any():
+                # Both row lists are trial-sorted and these trials have
+                # equal counts, so their selected rows line up.
+                cur = same[row_trial]
+                prev = same[p_trial]
+                differ = (pos[cur] != p_pos[prev]).any(axis=1) | (
+                    status[cur] != p_stat[prev]
+                ).any(axis=1)
+                recheck = np.bincount(row_trial[cur][differ], minlength=T)
+                for t in np.flatnonzero(recheck).tolist():
+                    a, b = bounds[t], bounds[t + 1]
+                    pa, pb = p_bounds[t], p_bounds[t + 1]
+                    same[t] = b - a > 1 and _row_set(
+                        pos[a:b], status[a:b]
+                    ) == _row_set(p_pos[pa:pb], p_stat[pa:pb])
+        self._streak = np.where(same, self._streak + 1, 0)
+        firing = (self._streak == self.stall_window) & ~self._stalled
+        if firing.any():
+            self._stalled |= firing
+            for t in np.flatnonzero(firing).tolist():
+                self._violations.setdefault(t, []).append(
+                    Violation(
+                        "progress",
+                        round_no,
+                        f"no state change for {self.stall_window} "
+                        f"rounds with {int(running[t])} ball(s) running",
                     )
-        self._prev_pos = pos.copy()
-        self._prev_halted = halted.copy()
-        self._prev_decision = decision.copy()
-        self._observed = observed & (engine.running > 0) & ~self._stalled
+                )
+        self._prev = current
+        self._observed = observed & (running > 0) & ~self._stalled
         return self._stalled
+
+    def _evaluate(
+        self, t: int, round_no: int, engine, pos, status, lo: int, hi: int
+    ) -> List[Violation]:
+        """Trial ``t``'s round through the scalar :func:`evaluate_round`."""
+        n = self.n
+        base = t * n
+        crashed = engine.crashed[base : base + n].tolist()
+        crash_round = self._crash_round[base : base + n].tolist()
+        return evaluate_round(
+            round_no,
+            self.arrays,
+            self.labels,
+            views=[
+                (pos[r].tolist(), status[r].tobytes()) for r in range(lo, hi)
+            ],
+            decisions=[
+                None if d < 0 else d
+                for d in engine.decision[base : base + n].tolist()
+            ],
+            crashed=crashed,
+            crash_rounds={
+                j: crash_round[j] for j in range(n) if crashed[j]
+            },
+        )
+
+
+def _row_set(pos: "np.ndarray", status: "np.ndarray") -> set:
+    """The rows of one trial as a set of bytes keys (view-set identity)."""
+    return {
+        p.tobytes() + s.tobytes() for p, s in zip(pos, status)
+    }

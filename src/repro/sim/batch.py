@@ -34,9 +34,9 @@ alike.  :func:`run_cell` turns a stack into the rows :func:`run_trial`
 would produce, per-trial errors included (one error-row builder serves
 both).  The stacked engines are bit-identical to the per-trial kernels,
 so the upgrade changes wall-clock only; trials the vectorized engine
-rejects (uncertified or non-crash faults, monitored crashes, non-BiL
-algorithms, missing NumPy) keep the per-trial path and its ``auto``
-kernel selection.
+rejects (uncertified or non-crash faults, full monitoring or tracing,
+non-BiL algorithms, missing NumPy) keep the per-trial path and its
+``auto`` kernel selection.
 """
 
 from __future__ import annotations
@@ -569,6 +569,18 @@ DEFAULT_CRASH_MIN_STREAMS = repro_config.DEFAULT_CRASH_MIN_STREAMS
 
 _crash_min_streams = repro_config.crash_min_streams
 
+#: Widest *crash* stack (streams).  Past a few thousand streams a crash
+#: stack's throughput levels off while its peak memory keeps growing
+#: (~0.65 KB of high-water RSS per stream: engine columns, the stream
+#: bank, its build scratch), so longer crash runs are cut into pieces
+#: between the floor and this cap.  Monitored n=256 crash matrix
+#: (perfbench crash-gauntlet, 2-vCPU Xeon, two runs each): 2048 streams
+#: 107-113 trials/s at 46.9 MB peak RSS, 3072: 123-125 at 48.4, 4096:
+#: 123-135 at 48.6, 6144: 133-137 at 50.1, 8192: 133-143 at 51.0
+#: (per-trial columnar: 56-62 at 45.9).  Narrower caps also slow small-n
+#: cells, whose per-round stack costs amortize over fewer trials.
+CRASH_MAX_STREAMS = 1 << 12
+
 
 def _mixed_cell_config(spec: TrialSpec) -> Tuple[Any, ...]:
     """The cell configuration up to the seed and the adversary.
@@ -635,10 +647,13 @@ def plan_tasks(specs: Sequence[TrialSpec], *, parts: int = 1) -> List[Task]:
     columnar path (a pure scheduling choice — the engines are
     bit-identical).  The floor is checked before any adversary is built,
     so a group too small to stack crash trials plans without building.
+    Longer crash runs are cut into near-equal stacks between the floor
+    and the :data:`CRASH_MAX_STREAMS` cap (:func:`_crash_pieces`).
 
     ``parts`` splits large stacks (one per worker, roughly) so a single
-    big cell still spreads across a pool; every stack additionally
-    respects the :data:`DEFAULT_MAX_STREAMS` memory budget.
+    big cell still spreads across a pool — crash pieces only while each
+    still clears the floor; every stack additionally respects the
+    :data:`DEFAULT_MAX_STREAMS` memory budget.
     """
     tasks: List[Task] = []
     specs = list(specs)
@@ -682,6 +697,9 @@ def _plan_group(group: Sequence[TrialSpec], parts: int) -> List[Task]:
         if not stacks:
             tasks.extend(run)
             continue
+        if kind == "crash":
+            tasks.extend(_crash_pieces(run, n, floor, max_streams, parts))
+            continue
         chunk = max(1, max_streams // max(1, n))
         if parts > 1:
             chunk = max(1, min(chunk, -(-len(run) // parts)))
@@ -689,6 +707,36 @@ def _plan_group(group: Sequence[TrialSpec], parts: int) -> List[Task]:
         # chunking must never change the executing kernel.
         for k in range(0, len(run), chunk):
             tasks.append(tuple(run[k : k + chunk]))
+    return tasks
+
+
+def _crash_pieces(
+    run: Sequence[TrialSpec], n: int, floor: int, max_streams: int, parts: int
+) -> List[Task]:
+    """Cut one crash run into near-equal stacks of ``lo..hi`` trials.
+
+    ``lo`` is the floor in trials (``ceil(floor / n)``) and ``hi`` the
+    :data:`CRASH_MAX_STREAMS` cap in trials (a raised floor wins over
+    the cap; the ``REPRO_VEC_MAX_STREAMS`` budget wins over both).
+    Near-equal pieces of a run longer than ``hi`` keep at least
+    ``(hi + 1) // 2`` trials — at least ``lo`` whenever
+    ``hi >= 2 * lo - 1``, as with the default floor and cap at every
+    ``n`` — and ``parts`` adds pieces for a worker pool only while every
+    piece still clears the floor.
+    """
+    lo = max(1, -(-floor // n))
+    hi = min(max(lo, CRASH_MAX_STREAMS // n), max(1, max_streams // n))
+    lo = min(lo, hi)
+    pieces = -(-len(run) // hi)
+    if parts > 1:
+        pieces = max(pieces, min(parts, len(run) // lo))
+    size, extra = divmod(len(run), pieces)
+    tasks: List[Task] = []
+    start = 0
+    for k in range(pieces):
+        stop = start + size + (1 if k < extra else 0)
+        tasks.append(tuple(run[start:stop]))
+        start = stop
     return tasks
 
 

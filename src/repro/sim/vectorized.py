@@ -288,6 +288,8 @@ def run_stacked_cell(
     adversary the cell runs on the crash engine, otherwise (no
     ``adversaries``, or every entry None/:class:`NoFailures`) on the
     failure-free engine; both return a :class:`StackedCellRun`.
+    ``monitor="cheap"`` attaches one
+    :class:`~repro.monitor.invariants.StackedMonitor` to either engine.
     """
     n = len(ids)
     if crash_budget is not None and not 0 <= crash_budget < n:
@@ -306,13 +308,7 @@ def run_stacked_cell(
     from repro.core.vectorized import VectorizedCellEngine, VectorizedCrashEngine
 
     engine: Union[VectorizedCellEngine, VectorizedCrashEngine]
-    observer = None
     if crashy:
-        if monitor != "off":
-            raise ConfigurationError(
-                "stacked crash cells run unmonitored; per-trial kernels "
-                "cover monitored crash runs"
-            )
         budget = crash_budget if crash_budget is not None else n - 1
         engine = VectorizedCrashEngine(
             ids,
@@ -323,12 +319,6 @@ def run_stacked_cell(
             crash_budget=budget,
             max_rounds=limit,
         )
-        # Telemetry: "movement" on the stacked path is the whole array
-        # program, inclusive of the nested "twist" passes the stream
-        # bank runs on demand (seeding was attributed at construction).
-        timer_started = TIMERS.start()
-        engine.run()
-        TIMERS.stop("movement", timer_started)
     else:
         engine = VectorizedCellEngine(
             ids,
@@ -337,13 +327,17 @@ def run_stacked_cell(
             halt_on_name=halt_on_name,
             max_rounds=limit,
         )
-        if monitor != "off":
-            from repro.monitor.invariants import StackedMonitor
+    observer = None
+    if monitor != "off":
+        from repro.monitor.invariants import StackedMonitor
 
-            observer = StackedMonitor(engine)
-        timer_started = TIMERS.start()
-        engine.run(observer=_timed_monitor(observer))
-        TIMERS.stop("movement", timer_started)
+        observer = StackedMonitor(engine)
+    # Telemetry: "movement" on the stacked path is the whole array
+    # program, inclusive of the nested "twist" passes the stream bank
+    # runs on demand (seeding was attributed at construction).
+    timer_started = TIMERS.start()
+    engine.run(observer=_timed_monitor(observer))
+    TIMERS.stop("movement", timer_started)
     return StackedCellRun(engine, seeds, monitor=observer)
 
 
@@ -378,12 +372,6 @@ class VectorizedKernel(SimulationKernel):
         failure = certification_failure(adversary, supported=("crash",))
         if failure is not None:
             return failure
-        crashy = adversary is not None and type(adversary) is not NoFailures
-        if crashy and request.monitor != "off":
-            return (
-                "monitors observe per-trial crash engines; stacked crash "
-                "cells run unmonitored"
-            )
         if request.trace is not None and request.trace_mode != "cheap":
             return (
                 "full trace recording observes the reference engine's "

@@ -77,9 +77,9 @@ class TestDifferentialGrid:
         assert _report(reference) == _report(columnar)
         assert _report(reference) == []  # the protocol holds
         assert _outcome(reference) == _outcome(columnar)
-        if HAVE_NUMPY and adversary_name == "none":
+        if HAVE_NUMPY:
             vectorized = _monitored(
-                algorithm, n, seed, "vectorized", None, halt_on_name
+                algorithm, n, seed, "vectorized", build(), halt_on_name
             )
             assert _report(vectorized) == _report(reference)
             assert _outcome(vectorized) == _outcome(reference)
@@ -148,7 +148,10 @@ class TestGhostScheduleRegressions:
             )
 
         runs = {}
-        for kernel in ("reference", "columnar"):
+        kernels = ("reference", "columnar") + (
+            ("vectorized",) if HAVE_NUMPY else ()
+        )
+        for kernel in kernels:
             runs[kernel] = run_renaming(
                 "balls-into-leaves",
                 ids,
@@ -158,12 +161,47 @@ class TestGhostScheduleRegressions:
                 kernel=kernel,
                 check_invariants=True,
             )
-        reference, columnar = runs["reference"], runs["columnar"]
-        assert reference.monitor == "cheap" == columnar.monitor
-        assert _report(reference) == _report(columnar) == []
+        reference = runs["reference"]
         names = list(reference.names.values())
         assert len(names) == n - 1 and len(set(names)) == n - 1
-        assert _outcome(reference) == _outcome(columnar)
+        for kernel, run in runs.items():
+            assert run.kernel == kernel
+            assert run.monitor == "cheap"
+            assert _report(run) == []
+            assert _outcome(run) == _outcome(reference)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized engine needs numpy")
+class TestStackedMonitoredCrashBatch:
+    """A monitored crash matrix stacked whole: every row equals the
+    per-trial columnar row (violations included)."""
+
+    def test_rows_match_per_trial_columnar(self, monkeypatch):
+        import dataclasses
+
+        from repro.sim.batch import ScenarioMatrix, run_batch, run_trial
+
+        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
+        matrix = ScenarioMatrix.build(
+            ["balls-into-leaves", "early-terminating"],
+            [16, 64],
+            ["random:rate=0.2", "sandwich", "targeted", "half-split"],
+            trials=3,
+            base_seed=29,
+            seed_mode="derived",
+            check=True,
+            monitor="cheap",
+            trace="cheap",
+            capture_errors=True,
+        )
+        batch = run_batch(matrix, executor="serial")
+        assert {trial.kernel for trial in batch.trials} == {"vectorized"}
+        for got in batch.trials:
+            want = run_trial(dataclasses.replace(got.spec, kernel="columnar"))
+            assert want.kernel == "columnar"
+            got_row, want_row = got.to_row(), want.to_row()
+            del got_row["kernel"], want_row["kernel"]
+            assert got_row == want_row, got.spec
 
 
 @pytest.mark.tier2

@@ -310,3 +310,180 @@ class TestStackedStallAbort:
         assert any("[progress]" in line for line in wedged.violations) == (
             monitor == "cheap"
         )
+
+
+def _crash_pair(rounds=4, seeds=(21, 22), halt_on_name=False):
+    """A 2-trial ``VectorizedCrashEngine`` paused after ``rounds``, and
+    the ``ColumnarCrashEngine`` running its trial 1 alone to the same
+    round (identical state by the stacked-crash differential contract)."""
+    from repro.core.vectorized import VectorizedCrashEngine
+
+    ids = sparse_ids(N)
+
+    def adversary(seed):
+        return RandomCrashAdversary(0.15, seed=seed)
+
+    stack = VectorizedCrashEngine(
+        ids,
+        list(seeds),
+        halt_on_name=halt_on_name,
+        adversaries=[adversary(seed) for seed in seeds],
+        crash_budget=N - 1,
+    )
+    stack.run(stop_after=rounds)
+    alone = ColumnarCrashEngine(
+        ids,
+        seed=seeds[1],
+        policy="random",
+        halt_on_name=halt_on_name,
+        adversary=adversary(seeds[1]),
+        crash_budget=N - 1,
+    )
+    for round_no in range(1, rounds + 1):
+        alone.step(round_no)
+    assert alone.running_count == int(stack.running[1]) > 0
+    return ids, stack, alone
+
+
+def _class_row(stack, alone, j):
+    """Ball ``j``'s view in both engines: the stack's class row of
+    trial 1 and the columnar class object (same content)."""
+    row = int(stack.cls_of[N + j])
+    view = alone._class_of[j]
+    assert stack._cpos[row].tolist() == list(view.pos)
+    assert stack._cstat[row].tobytes() == bytes(view.status)
+    return row, view
+
+
+def _running_ball(alone):
+    return next(
+        j for j in range(N) if not alone.crashed[j] and not alone.halted[j]
+    )
+
+
+@needs_numpy
+class TestSeededStackedCrashMutations:
+    """Each seeded violation in a mid-stack crash engine yields exactly
+    the :class:`Violation` records the columnar crash engine's
+    :class:`RunMonitor` gives for the same corruption."""
+
+    def _verdicts(self, ids, stack, alone, rounds, halt_on_name=False):
+        from repro.monitor.invariants import StackedMonitor
+
+        stacked = StackedMonitor(stack)
+        scalar = fresh_monitor(ids, halt_on_name=halt_on_name)
+        for round_no in rounds:
+            stacked(stack, round_no, stack.running > 0)
+            observe_crash_engine(scalar, alone, round_no)
+        if len(rounds) == 1:  # a re-observed trial 0 is frozen as well
+            assert stacked.violations(0) == []
+        assert scalar.violations, "the corruption must be caught"
+        assert stacked.violations(1) == scalar.violations
+        return scalar.violations
+
+    def test_duplicate_name(self):
+        ids, stack, alone = _crash_pair()
+        a, b = [j for j in range(N) if not alone.crashed[j]][:2]
+        for decision, base in ((stack.decision, N), (alone.decision, 0)):
+            decision[base + a] = decision[base + b] = 3
+        found = self._verdicts(ids, stack, alone, [4])
+        assert "uniqueness" in {v.invariant for v in found}
+
+    def test_out_of_range_name(self):
+        ids, stack, alone = _crash_pair()
+        j = _running_ball(alone)
+        stack.decision[N + j] = alone.decision[j] = N + 7
+        found = self._verdicts(ids, stack, alone, [4])
+        assert [v.invariant for v in found] == ["namespace"]
+
+    def test_over_capacity_leaf_on_a_class_row(self):
+        ids, stack, alone = _crash_pair()
+        row, view = _class_row(stack, alone, _running_ball(alone))
+        leaves, _ = leaf_and_inner()
+        a, b = [j for j in range(N) if view.pos[j] >= 0][:2]
+        for j in (a, b):
+            stack._cpos[row, j] = view.pos[j] = leaves[0]
+        found = self._verdicts(ids, stack, alone, [4])
+        assert "leaf-capacity" in {v.invariant for v in found}
+
+    def test_announced_ball_off_its_leaf(self):
+        from repro.core.lifecycle import BallStatus
+
+        ids, stack, alone = _crash_pair(halt_on_name=True)
+        row, view = _class_row(stack, alone, _running_ball(alone))
+        _, inner = leaf_and_inner()
+        j = next(k for k in range(N) if view.pos[k] >= 0)
+        stack._cpos[row, j] = view.pos[j] = inner[0]
+        stack._cstat[row, j] = view.status[j] = int(BallStatus.ANNOUNCED)
+        found = self._verdicts(ids, stack, alone, [4], halt_on_name=True)
+        assert [v.invariant for v in found] == ["retention"]
+        assert found[0].ball == j and found[0].node == inner[0]
+
+    def test_crashed_ball_retention_past_its_deadline(self):
+        ids, stack, alone = _crash_pair()
+        victim = _running_ball(alone)
+        stack.crashed[N + victim] = alone.crashed[victim] = True
+        found = self._verdicts(ids, stack, alone, [4, 5])
+        assert {v.invariant for v in found} == {"crash-retention"}
+        assert all(v.round_no == 5 for v in found)
+        assert victim in {v.ball for v in found}
+
+    def test_frozen_trial(self):
+        ids, stack, alone = _crash_pair()
+        rounds = range(4, 4 + STALL_WINDOW + 1)
+        found = self._verdicts(ids, stack, alone, rounds)
+        stalls = [v for v in found if v.invariant == "progress"]
+        assert len(stalls) == 1 and stalls[0] is found[-1]
+        assert stalls[0].round_no == 4 + STALL_WINDOW
+
+
+def _wedged_crash_stack_engine():
+    """A stacked crash engine whose trial 0 stops advancing after
+    ``_WedgedBallsEngine.WEDGE_ROUND`` (the other trials run on)."""
+    from repro.core.vectorized import VectorizedCrashEngine
+
+    class WedgedFirstTrial(VectorizedCrashEngine):
+        def step(self, round_no):
+            if round_no > _WedgedBallsEngine.WEDGE_ROUND:
+                self._active = self._active.copy()
+                self._active[0] = False
+            super().step(round_no)
+
+    return WedgedFirstTrial
+
+
+@needs_numpy
+class TestStackedCrashStallAbort:
+    def test_healthy_trial_of_a_wedged_crash_stack_keeps_its_row(
+        self, monkeypatch
+    ):
+        from repro.sim import batch
+
+        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
+        specs = tuple(
+            TrialSpec(
+                algorithm="balls-into-leaves",
+                n=N,
+                seed=seed,
+                adversary=AdversarySpec.parse("random:rate=0.2"),
+                kernel="vectorized",
+                capture_errors=True,
+                monitor="cheap",
+            )
+            for seed in (3, 4)
+        )
+        healthy = run_trial(specs[1]).to_row()
+        monkeypatch.setattr(
+            "repro.core.vectorized.VectorizedCrashEngine",
+            _wedged_crash_stack_engine(),
+        )
+
+        def no_rerun(spec):
+            raise AssertionError("a stacked cell must not re-run a trial")
+
+        monkeypatch.setattr(batch, "run_trial", no_rerun)
+        assert batch.plan_tasks(specs) == [specs]
+        wedged, rest = batch._run_task(specs)
+        assert rest.to_row() == healthy
+        assert wedged.error.startswith("MonitorViolation: ")
+        assert any("[progress]" in line for line in wedged.violations)

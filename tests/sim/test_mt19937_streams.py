@@ -175,8 +175,43 @@ class TestPrefixAndOverflow:
         _assert_matches(banks["2"], seeds.tolist(), banks["2"].prefix + 2)
 
 
+    @pytest.mark.parametrize("block", [1, 8, 37, 38])
+    def test_compact_and_full_state_seeding_agree(self, monkeypatch, block):
+        """Builds narrower than a chunk seed through the compact state
+        (prefixes up to N - M = 227 words: block 37 is the last); wider
+        ones through the full state.  Both give the same prefix."""
+        seeds = derive_ball_seeds(list(range(3)), sparse_ids(11))
+        seeds = seeds.tolist() + [0, 2**32 - 1, 2**64 + 3]
+        compact = MTStreamBank(seeds, block=block)
+        monkeypatch.setattr(mt19937, "CHUNK_STREAMS", 4)
+        full = MTStreamBank(seeds, block=block)
+        assert compact._doubles.tobytes() == full._doubles.tobytes()
+        _assert_matches(compact, seeds, compact.prefix + 2)
+
+
 class TestMemoryContract:
     """Only the prefix, the cursors and the seeds outlive construction."""
+
+    def test_narrow_build_keeps_only_the_prefix_rows(self, monkeypatch):
+        """A build narrower than one chunk holds ``4P + 1`` state rows
+        per column while seeding, not 624."""
+        monkeypatch.setenv("REPRO_VEC_THREADS", "1")
+        seeds = derive_ball_seeds(list(range(8)), sparse_ids(512))
+        S = len(seeds)
+        mt19937._base_state()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bank = MTStreamBank(seeds, block=8)
+            P = bank.prefix
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        state = (4 * P + 1 + 2 * P + 3 * mt19937.TWIST_ROWS) * 4 * S
+        slack = 256 * 1024
+        assert peak <= S * (8 * P + 16) + state + 8 * S + slack
+        assert peak < 624 * 4 * S  # one full-state scratch alone
 
     def test_bank_holds_no_state_and_frees_its_scratch(self, monkeypatch):
         monkeypatch.setenv("REPRO_VEC_THREADS", "1")

@@ -217,6 +217,36 @@ class TestCrashCellPlanning:
         monkeypatch.delenv("REPRO_VEC_CRASH_MIN_STREAMS")
         assert len(plan_tasks(free)) == 1
 
+    @pytest.mark.parametrize("parts", [1, 2, 4])
+    def test_worker_split_keeps_the_crash_floor(self, monkeypatch, parts):
+        """A pool split never cuts a crash run below the floor: four
+        trials at n=256 are exactly the 1024-stream floor, so they stay
+        one stack whatever the worker count."""
+        monkeypatch.delenv("REPRO_VEC_CRASH_MIN_STREAMS", raising=False)
+        specs = _crash_specs(
+            "balls-into-leaves", 256, [60 + k for k in range(4)], "sandwich"
+        )
+        assert plan_tasks(specs, parts=parts) == [tuple(specs)]
+
+    @pytest.mark.parametrize("parts", [1, 2, 8])
+    def test_long_crash_runs_cut_between_floor_and_cap(self, monkeypatch, parts):
+        from repro.sim.batch import CRASH_MAX_STREAMS, DEFAULT_CRASH_MIN_STREAMS
+
+        monkeypatch.delenv("REPRO_VEC_CRASH_MIN_STREAMS", raising=False)
+        n = 256
+        specs = _crash_specs(
+            "balls-into-leaves", n, [70 + k for k in range(100)],
+            "random:rate=0.1",
+        )
+        tasks = plan_tasks(specs, parts=parts)
+        assert all(isinstance(task, tuple) for task in tasks)
+        assert [spec for task in tasks for spec in task] == specs
+        sizes = [len(task) for task in tasks]
+        assert min(sizes) * n >= DEFAULT_CRASH_MIN_STREAMS
+        assert max(sizes) * n <= CRASH_MAX_STREAMS
+        assert max(sizes) - min(sizes) <= 1
+        assert len(tasks) >= parts
+
     def test_run_batch_auto_stacks_crash_cells(self, monkeypatch):
         monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
         specs = _crash_specs(
