@@ -87,6 +87,19 @@ BallId = Hashable
 #: stays on the reference engine).
 SUPPORTED_POLICIES = ("random", "hybrid", "rank", "leftmost")
 
+
+def _check_engine_args(ids: Sequence[BallId], policy: str) -> None:
+    """The participant and policy checks every array engine opens with."""
+    require_distinct(ids)
+    if not ids:
+        raise ConfigurationError("renaming needs at least one participant")
+    if policy not in SUPPORTED_POLICIES:
+        raise ConfigurationError(
+            f"policy {policy!r} is not columnar-modeled; "
+            f"choose from {SUPPORTED_POLICIES}"
+        )
+
+
 _STAGE_INIT = 0
 _STAGE_PATH = 1
 _STAGE_POSITION = 2
@@ -150,14 +163,7 @@ class ColumnarBallsEngine:
         policy: str = "random",
         halt_on_name: bool = False,
     ) -> None:
-        require_distinct(ids)
-        if not ids:
-            raise ConfigurationError("renaming needs at least one participant")
-        if policy not in SUPPORTED_POLICIES:
-            raise ConfigurationError(
-                f"policy {policy!r} is not columnar-modeled; "
-                f"choose from {SUPPORTED_POLICIES}"
-            )
+        _check_engine_args(ids, policy)
         self.labels: List[BallId] = sorted(ids)
         n = len(self.labels)
         self.n = n
@@ -662,14 +668,7 @@ class ColumnarCrashEngine:
         adversary: Any = None,
         crash_budget: int = 0,
     ) -> None:
-        require_distinct(ids)
-        if not ids:
-            raise ConfigurationError("renaming needs at least one participant")
-        if policy not in SUPPORTED_POLICIES:
-            raise ConfigurationError(
-                f"policy {policy!r} is not columnar-modeled; "
-                f"choose from {SUPPORTED_POLICIES}"
-            )
+        _check_engine_args(ids, policy)
         self.labels: List[BallId] = sorted(ids)
         n = len(self.labels)
         self.n = n

@@ -5,9 +5,9 @@ object machinery but still advances *one trial at a time* with
 Python-level loops over balls.  A scenario-matrix cell re-runs those
 loops once per seed — for the paper's experiment shape (many independent
 trials of one ``(algorithm, n, adversary)`` cell) the interpreter cost
-dominates.  This module stacks an entire cell of ``T`` failure-free
-trials into ``(T * n,)`` NumPy columns over the shared array-indexed
-topology and advances *all trials one lock-step round per ufunc pass*.
+dominates.  This module stacks an entire cell of ``T`` trials into
+``(T * n,)`` NumPy columns over the shared array-indexed topology and
+advances *all trials one lock-step round per ufunc pass*.
 
 Exactness is the design constraint, not a best effort: every trial's
 :class:`~repro.sim.simulator.SimulationResult` is bit-for-bit the
@@ -30,11 +30,27 @@ stacking exact:
   frozen pre-round counts; recomputing them per ball vectorized yields
   the identical IEEE-754 doubles the scalar memo produced.
 
+Two engines share one core.  :class:`VectorizedCellEngine` runs
+failure-free cells in place over one shared view per trial;
+:class:`VectorizedCrashEngine` runs cells under certified crash
+adversaries over one view row per live receiver class.  The private
+``_StackedEngine`` base owns everything the two do identically:
+argument validation and the shared per-ball/per-trial columns, the
+round loop with its per-round metrics row, the stream bank and its
+build timing, path choice (the random walk, the k-th free leaf descent
+and the policy dispatch, over flat count/occupancy columns addressed by
+view-row base), the level-by-level ``<R`` admission loop, halting and
+leaf-count bookkeeping, and ``last_round_named``.  Each engine keeps
+only its round application (``step``), its ``monitor_rows`` and two
+rank hooks for path choice — a ball's label rank among its view's
+present balls, and its rank among the balls at its node; the
+failure-free engine also keeps the splitting estimator's state
+interchange.
+
 Supported grid: the BiL-family policies on the shared view store,
-matching :func:`vectorized_rejections` — failure-free here, and under
-certified crash adversaries on :class:`VectorizedCrashEngine` below.
-Everything else (faithful views, full traces, ...) stays on the
-columnar or reference engines via kernel fallback.
+matching :func:`vectorized_rejections`.  Everything else (faithful
+views, full traces, ...) stays on the columnar or reference engines via
+kernel fallback.
 """
 
 from __future__ import annotations
@@ -42,20 +58,30 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 from itertools import compress
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from collections.abc import Mapping
 
 from repro.adversary.base import AdversaryContext, clamp_plan
 from repro.adversary.none import NoFailures
 from repro.errors import ConfigurationError
-from repro.ids import require_distinct
 from repro.tree.topology import cached_topology
 from repro.core.columnar import (
-    SUPPORTED_POLICIES,
     _ACTIVE,
     _ANNOUNCED,
     _ProcessIntrospectionUnavailable,
+    _check_engine_args,
+    columnar_rejections,
 )
 from repro.core.config import BallsIntoLeavesConfig
 from repro.core.messages import hello_message, path_message, position_message
@@ -71,9 +97,10 @@ BallId = Hashable
 def vectorized_rejections(config: BallsIntoLeavesConfig) -> List[str]:
     """Why this config cannot run trial-stacked (empty = it can).
 
-    The stacked layout models exactly the columnar failure-free grid;
-    the adversary/trace/phase-stat gates live in the kernel layer, which
-    also knows about the run request.
+    The stacked layout models exactly the columnar grid, so this is the
+    columnar gate plus the NumPy install; the adversary/trace/phase-stat
+    gates live in the kernel layer, which also knows about the run
+    request.
     """
     reasons = []
     if not HAVE_NUMPY:
@@ -81,26 +108,7 @@ def vectorized_rejections(config: BallsIntoLeavesConfig) -> List[str]:
             "numpy is not installed (the vectorized kernel is the "
             "`pip install .[fast]` extra)"
         )
-    if config.path_policy not in SUPPORTED_POLICIES:
-        reasons.append(
-            f"path policy {config.path_policy!r} is not columnar-modeled "
-            f"(supported: {SUPPORTED_POLICIES})"
-        )
-    if config.view_mode != "shared":
-        reasons.append(
-            f"view mode {config.view_mode!r} asks for the reference "
-            "engine's store (faithful = the paper-verbatim per-ball trees)"
-        )
-    if config.check_invariants:
-        reasons.append("check_invariants instruments the reference movement code")
-    if config.movement_order != "priority":
-        reasons.append(
-            f"movement order {config.movement_order!r} is an ablation of the "
-            "reference engine"
-        )
-    if not config.sync_positions:
-        reasons.append("one-round phases (sync_positions=False) are an ablation")
-    return reasons
+    return reasons + columnar_rejections(config)
 
 
 def derive_ball_seeds(
@@ -227,27 +235,24 @@ def vectorized_topology(n: int) -> "_VecTopology":
     return _VecTopology(n)
 
 
-class VectorizedCellEngine:
-    """``T`` stacked failure-free runs of one cell, lock-step by rounds.
-
-    Drive with :meth:`run`; afterwards the per-ball outcome arrays
-    (``decision``, ``round_named``, ``round_halted``) and the per-trial
-    ``rounds`` / per-round metrics columns hold every trial's result, in
-    the exact values the scalar engines produce trial by trial.
-
-    The result surface is :class:`VectorizedCrashEngine`'s at its
-    zero-crash values (``crashed``/``round_crashed`` never set,
-    ``round_crashes`` all zero), so one stacked result type reads either
-    engine.  It shares the crash engine's per-trial stop rule: a trial
-    still running at the round limit is flagged in ``overrun`` while the
-    others keep going, and a trial the observer proves stalled is
-    flagged in ``stopped`` and advances no further — the two ways a
-    per-trial kernel raises mid-run, resolved per trial by the sim
-    layer.
+class _StackedEngine:
+    """The shared core of the two stacked engines: all but the round.
 
     Balls are indexed trial-major: stream/ball ``s`` is trial ``s // n``,
-    label rank ``s % n``; tree state is a ``(T * node_count,)`` flat
-    column indexed by ``t * node_count + node``.
+    label rank ``s % n``.  Views are rows of flat ``count`` /
+    occupancy columns, one ``node_count`` block per row, addressed by
+    the row base ``row * node_count`` — a trial per row on the
+    failure-free engine, a live receiver class per row on the crash
+    engine.  Subclasses supply :meth:`step` (one round for every active
+    trial, ending in :meth:`_record_round`) and the two path-choice
+    rank hooks, :meth:`_label_rank` and :meth:`_rank_at_node`.
+
+    A trial still running when ``max_rounds`` rounds have completed is
+    flagged in :attr:`overrun` (with the running count the columnar
+    engine's raise would have carried) while the others keep going, and
+    a trial the observer proves stalled is flagged in :attr:`stopped`
+    and advances no further — the two ways a per-trial kernel raises
+    mid-run, resolved per trial by the sim layer.
     """
 
     def __init__(
@@ -255,22 +260,15 @@ class VectorizedCellEngine:
         ids: Sequence[BallId],
         trial_seeds: Sequence[int],
         *,
-        policy: str = "random",
-        halt_on_name: bool = False,
-        max_rounds: int = 10_000,
+        policy: str,
+        halt_on_name: bool,
+        max_rounds: int,
     ) -> None:
         if not HAVE_NUMPY:
             raise ConfigurationError(
                 "the vectorized engine requires numpy (pip install .[fast])"
             )
-        require_distinct(ids)
-        if not ids:
-            raise ConfigurationError("renaming needs at least one participant")
-        if policy not in SUPPORTED_POLICIES:
-            raise ConfigurationError(
-                f"policy {policy!r} is not columnar-modeled; "
-                f"choose from {SUPPORTED_POLICIES}"
-            )
+        _check_engine_args(ids, policy)
         if not trial_seeds:
             raise ConfigurationError("a stacked cell needs at least one trial")
         self.labels: List[BallId] = sorted(ids)
@@ -280,48 +278,38 @@ class VectorizedCellEngine:
         self._halt_on_name = halt_on_name
         self.max_rounds = max_rounds
         self._topo = topo = vectorized_topology(n)
-        M = topo.node_count
-        S = T * n
-        self._S = S
-        # Stream bank built on first draw, like the scalar engines' lazy
-        # per-ball RNGs: deterministic policies never pay for seeding.
+        self._S = S = T * n
         self._trial_seeds = list(trial_seeds)
         self._bank: Optional[MTStreamBank] = None
-        # Ball columns (trial-major).
-        self._trial = np.repeat(np.arange(T, dtype=np.int64), n)
         self._jcol = np.tile(np.arange(n, dtype=np.int32), T)
-        self._tbase = self._trial * M
-        self.pos = np.full(S, topo.root, dtype=np.int32)
+        self._track_leaf_occ = policy in ("rank", "leftmost")
+        # Per-ball outcome columns (trial-major, -1 sentinels like the
+        # scalar engines' None).
         self.halted = np.zeros(S, dtype=bool)
         self.decision = np.full(S, -1, dtype=np.int32)
         self.round_named = np.full(S, -1, dtype=np.int32)
         self.round_halted = np.full(S, -1, dtype=np.int32)
         self.crashed = np.zeros(S, dtype=bool)
+        #: Round each ball crashed (-1 = survived) — trace capture.
         self.round_crashed = np.full(S, -1, dtype=np.int32)
-        # Shared-view columns.
-        self._count = np.zeros(T * M, dtype=np.int32)
-        self._span_tiled = np.tile(topo.span, T)
-        self._track_leaf_occ = policy in ("rank", "leftmost")
-        self._leaf_occ = (
-            np.zeros(T * M, dtype=np.int32) if self._track_leaf_occ else None
-        )
-        self._n_at_leaf = np.zeros(T, dtype=np.int32)
+        # Per-trial termination state.
         self.running = np.full(T, n, dtype=np.int32)
-        # Per-round candidate paths, rows indexed by absolute node depth.
-        self._path = np.zeros((S, topo.height + 1), dtype=np.int32)
-        self._end_depth = np.zeros(S, dtype=np.int32)
-        # Metrics trail: one (T,) row per executed round, inactive trials
-        # zeroed (the crash engine's columns).
         self.rounds = np.zeros(T, dtype=np.int32)
         self.overrun = np.zeros(T, dtype=bool)
         self.running_at_limit = np.zeros(T, dtype=np.int32)
         #: (T,) trials the observer stopped (a proven stall).
         self.stopped = np.zeros(T, dtype=bool)
+        # Metrics trail: one (T,) row per executed round, inactive trials
+        # zeroed so whole-column sums give per-trial totals directly.
         self.round_sent: List["np.ndarray"] = []
         self.round_delivered: List["np.ndarray"] = []
         self.round_crashes: List["np.ndarray"] = []
         self.round_alive: List["np.ndarray"] = []
         self.round_running: List["np.ndarray"] = []
+        # Per-round candidate paths, rows indexed by absolute node depth.
+        self._path = np.zeros((S, topo.height + 1), dtype=np.int32)
+        self._end_depth = np.zeros(S, dtype=np.int32)
+        self._active = np.zeros(T, dtype=bool)
         # Persistent round cursor: run() resumes here, so the engine can
         # be driven in segments (the importance-splitting estimator stops
         # at each level, clones survivors, and resumes the clones).
@@ -339,10 +327,14 @@ class VectorizedCellEngine:
         completed (trials stay resumable); ``observer(engine, round_no,
         active)`` is called after every completed round — the hook the
         stacked invariant monitor attaches to — and may return a (T,)
-        bool mask of trials to stop there.  A trial still running when
-        ``max_rounds`` rounds have completed is marked overrun with the
-        running count the columnar engine's raise would have carried.
+        bool mask of trials to stop there.
         """
+        if self._policy == "random":
+            # Round 2 draws for every walker: build the bank before
+            # round 1, while the stack holds little else — its build
+            # scratch is freed before the round passes allocate theirs.
+            # Other policies build it on first draw, if ever.
+            self._stream_bank()
         round_no = self._round
         while True:
             active = (self.running > 0) & ~self.overrun & ~self.stopped
@@ -356,29 +348,355 @@ class VectorizedCellEngine:
                     active, self.running, self.running_at_limit
                 )
                 break
+            self._active = active
             round_no += 1
             self._round = round_no
-            # Every running ball broadcasts, and every running ball
-            # receives every broadcast (itself included).
-            sent = np.where(active, self.running, 0).astype(np.int64)
-            if round_no == 1:
-                self._init_round()
-            elif round_no % 2 == 0:
-                self._path_round(round_no, active)
-            else:
-                self._position_round(round_no, active)
+            self.step(round_no)
             self.rounds[active] = round_no
-            self.round_sent.append(sent)
-            self.round_delivered.append(sent * sent)
-            self.round_crashes.append(np.zeros(self.trials, dtype=np.int64))
-            self.round_alive.append(np.where(active, np.int64(self.n), 0))
-            self.round_running.append(
-                np.where(active, self.running.astype(np.int64), 0)
-            )
             if observer is not None:
                 stop = observer(self, round_no, active)
                 if stop is not None:
                     self.stopped |= stop
+
+    def step(self, round_no: int) -> None:
+        """One full round for every trial in ``self._active``."""
+        raise NotImplementedError
+
+    def _record_round(
+        self, sent: "np.ndarray", delivered: "np.ndarray",
+        crashes: "np.ndarray", alive: "np.ndarray",
+    ) -> None:
+        """Append this round's metrics row (running counts after it)."""
+        self.round_sent.append(sent)
+        self.round_delivered.append(delivered)
+        self.round_crashes.append(crashes)
+        self.round_alive.append(alive)
+        self.round_running.append(
+            np.where(self._active, self.running.astype(np.int64), 0)
+        )
+
+    def _stream_bank(self) -> MTStreamBank:
+        """The stack's per-ball streams, built on first use."""
+        bank = self._bank
+        if bank is None:
+            # Block = tree height: a full root-to-leaf walk (the first
+            # round's exact consumption) per extension.
+            bank = self._bank = MTStreamBank(
+                derive_ball_seeds(self._trial_seeds, self.labels),
+                block=max(4, self._topo.height),
+            )
+        return bank
+
+    # ------------------------------------------------------------- path choice
+    def _choose_paths(
+        self, round_no: int, idx: "np.ndarray", start: "np.ndarray",
+        base: "np.ndarray", count: "np.ndarray", occ: Optional["np.ndarray"],
+    ) -> "np.ndarray":
+        """Fill the path rows of the non-leaf senders ``idx``; returns
+        the ones that move.
+
+        Each sender sits at ``start`` in the view row whose flat
+        ``count``/``occ`` block begins at ``base``; the caller has
+        recorded ``start`` at its depth.  All choices read the same
+        frozen pre-round view, exactly like the scalar engines
+        (broadcasts compose before any delivery).
+        """
+        topo = self._topo
+        policy = self._policy
+        if policy == "random" or (policy == "hybrid" and round_no // 2 > 1):
+            self._walk_random(idx, start, base, count)
+            return idx
+        if policy == "hybrid":
+            # Section 6, phase 1: ball bi aims at the leaf indexed by its
+            # label rank, clamped inside its subtree as in the scalar
+            # policy.
+            rank = np.minimum(self._label_rank(idx), topo.span[start] - 1)
+            self._walk_to_kth(idx, start, base, None, rank)
+            return idx
+        if occ is None or policy not in ("rank", "leftmost"):
+            raise ConfigurationError(f"policy {policy!r} is not columnar-modeled")
+        free = topo.span[start] - occ[base + start]
+        go = free > 0  # full subtree: no free leaf below
+        walkers = idx[go]
+        if policy == "rank":
+            # The k-th free leaf by rank at the node; a full subtree
+            # keeps the ball put.
+            if walkers.size:
+                rank = self._rank_at_node(walkers, start[go], base[go])
+                self._walk_to_kth(
+                    walkers, start[go], base[go], occ,
+                    np.minimum(rank, free[go] - 1),
+                )
+            return walkers
+        if walkers.size:
+            self._walk_to_kth(
+                walkers, start[go], base[go], occ,
+                np.zeros(walkers.size, dtype=np.int32),
+            )
+        full = ~go
+        if full.any():
+            # No free leaf below: aim at the subtree's leftmost leaf and
+            # let the movement rule park the ball.
+            self._walk_to_kth(
+                idx[full], start[full], base[full], None,
+                np.zeros(int(full.sum()), dtype=np.int32),
+            )
+        return idx
+
+    def _label_rank(self, idx: "np.ndarray") -> "np.ndarray":
+        """Label rank of each ball among its view's present balls."""
+        raise NotImplementedError
+
+    def _rank_at_node(
+        self, idx: "np.ndarray", start: "np.ndarray", base: "np.ndarray"
+    ) -> "np.ndarray":
+        """Label rank of each ball among the balls at its node."""
+        raise NotImplementedError
+
+    def _walk_random(
+        self, idx: "np.ndarray", cur: "np.ndarray", base: "np.ndarray",
+        count: "np.ndarray",
+    ) -> None:
+        """Algorithm 1 lines 5-10 for every walker, one level per pass.
+
+        Each ball consumes its private stream exactly where the scalar
+        walk does: one draw per non-forced inner node, none when both
+        children appear full (the larger raw residual wins, ties left).
+        """
+        topo = self._topo
+        span = topo.span
+        dcur = topo.depth[cur]
+        while idx.size:
+            left = topo.left[cur]
+            right = topo.right[cur]
+            raw_l = span[left] - count[base + left]
+            raw_r = span[right] - count[base + right]
+            cap_l = np.maximum(raw_l, 0)
+            total = cap_l + np.maximum(raw_r, 0)
+            forced = total <= 0
+            go_left = np.empty(idx.size, dtype=bool)
+            if forced.any():
+                go_left[forced] = raw_l[forced] >= raw_r[forced]
+            free = ~forced
+            if free.any():
+                draws = self._stream_bank().draws(idx[free])
+                go_left[free] = draws < cap_l[free] / total[free]
+            cur = np.where(go_left, left, right)
+            dcur = dcur + 1
+            self._path[idx, dcur] = cur
+            done = topo.is_leaf[cur]
+            if done.any():
+                self._end_depth[idx[done]] = dcur[done]
+                keep = ~done
+                idx, cur, dcur, base = idx[keep], cur[keep], dcur[keep], base[keep]
+
+    def _walk_to_kth(
+        self, idx: "np.ndarray", cur: "np.ndarray", base: "np.ndarray",
+        occ: Optional["np.ndarray"], k: "np.ndarray",
+    ) -> None:
+        """Descent to each walker's ``k``-th free leaf, left to right
+        (``path_to_kth_free_leaf``; callers ensure free > 0).  Without
+        ``occ`` every leaf is free: the descent to leaf rank
+        ``lo + k`` (``path_to_rank``)."""
+        topo = self._topo
+        span = topo.span
+        dcur = topo.depth[cur]
+        remaining = k
+        while idx.size:
+            left = topo.left[cur]
+            free_left = span[left]
+            if occ is not None:
+                free_left = np.maximum(free_left - occ[base + left], 0)
+            go_left = remaining < free_left
+            cur = np.where(go_left, left, topo.right[cur])
+            remaining = np.where(go_left, remaining, remaining - free_left)
+            dcur = dcur + 1
+            self._path[idx, dcur] = cur
+            done = topo.is_leaf[cur]
+            if done.any():
+                self._end_depth[idx[done]] = dcur[done]
+                keep = ~done
+                idx, cur, dcur, remaining, base = (
+                    idx[keep], cur[keep], dcur[keep], remaining[keep], base[keep],
+                )
+
+    # -------------------------------------------------------------- movement
+    def _admit(
+        self,
+        row: "np.ndarray",
+        balls: "np.ndarray",
+        start_depth: "np.ndarray",
+        end_depth: "np.ndarray",
+        count: "np.ndarray",
+        quota: "np.ndarray",
+        credit: Optional["np.ndarray"] = None,
+        replay: Optional[Callable[..., None]] = None,
+    ) -> Iterator[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]]:
+        """Lines 12-21's ``<R`` admission, level by level.
+
+        Mover ``balls`` walk their recorded paths from ``start_depth`` to
+        ``end_depth`` in view ``row``.  ``<R`` says deeper balls move
+        first, ties by label.  Since balls only enter subtrees, node
+        ``v`` admits the round's arrivals in ``<R`` order up to its
+        frozen round-start free capacity ``quota`` — so each tree level
+        is one grouped-quota pass over the flat ``count`` column
+        (updated in place), and only over-subscribed nodes need an
+        explicit within-group ranking.  Nodes holding purge ``credit``
+        (the crash engine's capacity-credit events) are left to
+        ``replay(gid, dirty, admitted, start_depth, balls)``.  Yields
+        each level's admitted ``(rows, balls, children)``.
+        """
+        topo = self._topo
+        height = topo.height
+        # Stable sort by shallow-last start depth keeps label order
+        # inside each depth bucket: the movers in <R order, per row.
+        order = np.argsort(
+            row * np.int64(height + 1) + (height - start_depth), kind="stable"
+        )
+        row = row[order]
+        balls = balls[order]
+        start_depth = start_depth[order]
+        end_depth = end_depth[order]
+        base = row * np.int64(topo.node_count)
+        advancing = np.ones(balls.size, dtype=bool)
+        path = self._path
+        for level in range(1, height + 1):
+            sel = np.flatnonzero(
+                advancing & (start_depth < level) & (level <= end_depth)
+            )
+            if sel.size == 0:
+                continue
+            sel_balls = balls[sel]
+            child = path[sel_balls, level]
+            gid = base[sel] + child
+            arrivals = np.bincount(gid, minlength=count.size)
+            crowded = arrivals[gid] > quota[gid]
+            dirty = None
+            if credit is not None:
+                dirty = credit[gid] > 0
+                crowded &= ~dirty
+            admitted = np.ones(sel.size, dtype=bool)
+            if crowded.any():
+                # Rank the contested arrivals: sel is already in <R
+                # order, so within-node arrival rank is the grouped rank
+                # and the first quota[node] arrivals win.
+                cpos = np.flatnonzero(crowded)
+                cgid = gid[cpos]
+                admitted[cpos] = _grouped_ranks(cgid) < quota[cgid]
+            if dirty is not None and replay is not None and dirty.any():
+                replay(gid, dirty, admitted, start_depth[sel], sel_balls)
+            if not admitted.all():
+                advancing[sel[~admitted]] = False
+                sel, sel_balls = sel[admitted], sel_balls[admitted]
+                child, gid = child[admitted], gid[admitted]
+                arrivals = np.bincount(gid, minlength=count.size)
+            if sel.size:
+                # The admitted arrivals histogram is the per-node entry
+                # count.
+                np.add(count, arrivals, out=count, casting="unsafe")
+                yield row[sel], sel_balls, child
+
+    def _chain_add(
+        self,
+        arr: "np.ndarray",
+        base: "np.ndarray",
+        start: "np.ndarray",
+        delta: int,
+    ) -> None:
+        """``arr[base + v] += delta`` along every root chain from ``start``."""
+        parent = self._topo.parent
+        walk = start
+        b = base
+        while walk.size:
+            np.add.at(arr, b + walk, delta)
+            nxt = parent[walk]
+            keep = nxt != -1
+            walk = nxt[keep]
+            b = b[keep]
+
+    def _halt(
+        self, round_no: int, idx: "np.ndarray", trials: "np.ndarray", node: "np.ndarray"
+    ) -> None:
+        """Balls ``idx`` of ``trials`` halt this round on leaf ``node``."""
+        self.round_halted[idx] = round_no
+        self.decision[idx] = self._topo.leaf_rank[node]
+        self.halted[idx] = True
+        self.running -= np.bincount(trials, minlength=self.trials).astype(np.int32)
+
+    def _leaf_change(
+        self, leaf_count: "np.ndarray", occ: Optional["np.ndarray"],
+        rows: "np.ndarray", leaves: "np.ndarray", delta: int,
+    ) -> None:
+        """Balls of view ``rows`` entering (``delta`` 1) or leaving (-1)
+        ``leaves``: the per-row leaf counts and, when tracked, the leaf
+        occupancy up every root chain."""
+        change = np.bincount(rows, minlength=leaf_count.size).astype(np.int32)
+        if delta > 0:
+            leaf_count += change
+        else:
+            leaf_count -= change
+        if occ is not None:
+            base = rows * np.int64(self._topo.node_count)
+            self._chain_add(occ, base, leaves, delta)
+
+    # ---------------------------------------------------------------- results
+    def last_round_named(self, t: int) -> Optional[int]:
+        """Latest naming round of a *correct* ball of trial ``t``."""
+        s = slice(t * self.n, (t + 1) * self.n)
+        named = self.round_named[s]
+        ok = ~self.crashed[s] & (named >= 0)
+        return int(named[ok].max()) if ok.any() else None
+
+
+#: The per-ball columns of an exported trial state, in export order.
+_BALL_STATE = ("pos", "halted", "decision", "round_named", "round_halted")
+
+
+class VectorizedCellEngine(_StackedEngine):
+    """``T`` stacked failure-free runs of one cell, lock-step by rounds.
+
+    Drive with :meth:`run`; afterwards the per-ball outcome arrays
+    (``decision``, ``round_named``, ``round_halted``) and the per-trial
+    ``rounds`` / per-round metrics columns hold every trial's result, in
+    the exact values the scalar engines produce trial by trial.
+
+    The result surface is :class:`VectorizedCrashEngine`'s at its
+    zero-crash values (``crashed``/``round_crashed`` never set,
+    ``round_crashes`` all zero), so one stacked result type reads either
+    engine.  Rounds apply in place: tree state is one shared view per
+    trial, a ``(T * node_count,)`` flat column indexed by
+    ``t * node_count + node``.
+    """
+
+    def __init__(
+        self,
+        ids: Sequence[BallId],
+        trial_seeds: Sequence[int],
+        *,
+        policy: str = "random",
+        halt_on_name: bool = False,
+        max_rounds: int = 10_000,
+    ) -> None:
+        super().__init__(
+            ids,
+            trial_seeds,
+            policy=policy,
+            halt_on_name=halt_on_name,
+            max_rounds=max_rounds,
+        )
+        T, n = self.trials, self.n
+        topo = self._topo
+        M = topo.node_count
+        self._trial = np.repeat(np.arange(T, dtype=np.int64), n)
+        self._tbase = self._trial * M
+        self.pos = np.full(self._S, topo.root, dtype=np.int32)
+        # Shared-view columns.
+        self._count = np.zeros(T * M, dtype=np.int32)
+        self._span_tiled = np.tile(topo.span, T)
+        self._leaf_occ = (
+            np.zeros(T * M, dtype=np.int32) if self._track_leaf_occ else None
+        )
+        self._n_at_leaf = np.zeros(T, dtype=np.int32)
 
     # -------------------------------------------------------- state interchange
     def export_trial_state(self, t: int) -> Dict[str, Any]:
@@ -389,19 +707,15 @@ class VectorizedCellEngine:
         M = self._topo.node_count
         balls = slice(t * n, (t + 1) * n)
         nodes = slice(t * M, (t + 1) * M)
-        return {
-            "pos": self.pos[balls].tolist(),
-            "halted": self.halted[balls].tolist(),
-            "decision": self.decision[balls].tolist(),
-            "round_named": self.round_named[balls].tolist(),
-            "round_halted": self.round_halted[balls].tolist(),
-            "count": self._count[nodes].tolist(),
-            "leaf_occ": (
-                self._leaf_occ[nodes].tolist() if self._track_leaf_occ else None
-            ),
-            "n_at_leaf": int(self._n_at_leaf[t]),
-            "running": int(self.running[t]),
+        state: Dict[str, Any] = {
+            key: getattr(self, key)[balls].tolist() for key in _BALL_STATE
         }
+        state["count"] = self._count[nodes].tolist()
+        leaf_occ = self._leaf_occ
+        state["leaf_occ"] = leaf_occ[nodes].tolist() if leaf_occ is not None else None
+        state["n_at_leaf"] = int(self._n_at_leaf[t])
+        state["running"] = int(self.running[t])
+        return state
 
     def inject_trial_states(
         self, states: Sequence[Dict[str, Any]], round_no: int
@@ -422,13 +736,10 @@ class VectorizedCellEngine:
         for t, state in enumerate(states):
             balls = slice(t * n, (t + 1) * n)
             nodes = slice(t * M, (t + 1) * M)
-            self.pos[balls] = state["pos"]
-            self.halted[balls] = state["halted"]
-            self.decision[balls] = state["decision"]
-            self.round_named[balls] = state["round_named"]
-            self.round_halted[balls] = state["round_halted"]
+            for key in _BALL_STATE:
+                getattr(self, key)[balls] = state[key]
             self._count[nodes] = state["count"]
-            if self._track_leaf_occ:
+            if self._leaf_occ is not None:
                 self._leaf_occ[nodes] = state["leaf_occ"]
             self._n_at_leaf[t] = state["n_at_leaf"]
             self.running[t] = state["running"]
@@ -436,6 +747,24 @@ class VectorizedCellEngine:
         self._round = round_no
 
     # ------------------------------------------------------------------- rounds
+    def step(self, round_no: int) -> None:
+        """One round in place: every running ball broadcasts, and every
+        running ball receives every broadcast (itself included)."""
+        active = self._active
+        sent = np.where(active, self.running, 0).astype(np.int64)
+        if round_no == 1:
+            self._init_round()
+        elif round_no % 2 == 0:
+            self._path_round(round_no, active)
+        else:
+            self._position_round(round_no, active)
+        self._record_round(
+            sent,
+            sent * sent,
+            np.zeros(self.trials, dtype=np.int64),
+            np.where(active, np.int64(self.n), 0),
+        )
+
     def _init_round(self) -> None:
         """Line 1: every ball announces its label; all start at the root."""
         topo = self._topo
@@ -458,7 +787,15 @@ class VectorizedCellEngine:
             idx = np.flatnonzero(naming)
             self.round_named[idx] = round_no
             self.decision[idx] = topo.leaf_rank[self.pos[idx]]
-        movers = self._choose_paths(round_no, ball_active, at_leaf)
+        candidates = np.flatnonzero(ball_active & ~at_leaf)
+        if candidates.size == 0:
+            return
+        start = self.pos[candidates]
+        self._path[candidates, topo.depth[start]] = start
+        movers = self._choose_paths(
+            round_no, candidates, start, self._tbase[candidates],
+            self._count, self._leaf_occ,
+        )
         if movers.size:
             self._move(round_no, movers)
 
@@ -472,263 +809,43 @@ class VectorizedCellEngine:
             halting |= ball_active & topo.is_leaf[self.pos]
         if halting.any():
             idx = np.flatnonzero(halting)
-            self.round_halted[idx] = round_no
-            self.decision[idx] = topo.leaf_rank[self.pos[idx]]
-            self.halted[idx] = True
-            self.running -= np.bincount(
-                self._trial[idx], minlength=self.trials
-            ).astype(np.int32)
+            self._halt(round_no, idx, self._trial[idx], self.pos[idx])
 
-    # ------------------------------------------------------------- path choice
-    def _choose_paths(
-        self, round_no: int, ball_active: "np.ndarray", at_leaf: "np.ndarray"
+    def _label_rank(self, idx: "np.ndarray") -> "np.ndarray":
+        # Failure-free, every ball is present in its trial's view.
+        return self._jcol[idx]
+
+    def _rank_at_node(
+        self, idx: "np.ndarray", start: "np.ndarray", base: "np.ndarray"
     ) -> "np.ndarray":
-        """Fill the path rows of every mover; returns mover indices.
+        # Every ball at an inner node walks this round: ranking the
+        # walkers ranks the node's balls.
+        return _grouped_ranks(base + start)
 
-        All choices read the same frozen pre-round view, exactly like the
-        scalar engines (broadcasts compose before any delivery).
-        """
-        policy = self._policy
-        phase = round_no // 2
-        candidates = np.flatnonzero(ball_active & ~at_leaf)
-        if candidates.size == 0:
-            return candidates
-        self._path[candidates, self._topo.depth[self.pos[candidates]]] = self.pos[
-            candidates
-        ]
-        if policy == "random" or (policy == "hybrid" and phase > 1):
-            self._walk_random(candidates)
-            return candidates
-        if policy == "hybrid":
-            # Section 6, phase 1: ball bi aims at the leaf indexed by its
-            # label rank (clamped inside its subtree, as in the scalar
-            # policy; failure-free everyone is still at the root).
-            topo = self._topo
-            start = self.pos[candidates]
-            target = np.minimum(
-                topo.lo[start] + self._jcol[candidates], topo.hi[start] - 1
-            )
-            self._walk_to_rank(candidates, target)
-            return candidates
-        if policy == "rank":
-            return self._rank_paths(candidates)
-        if policy == "leftmost":
-            return self._leftmost_paths(candidates)
-        raise ConfigurationError(f"policy {policy!r} is not columnar-modeled")
-
-    def _walk_random(self, idx: "np.ndarray") -> None:
-        """Algorithm 1 lines 5-10 for every walker, one level per pass.
-
-        Each ball consumes its private stream exactly where the scalar
-        walk does: one draw per non-forced inner node, none when both
-        children appear full (the larger raw residual wins, ties left).
-        """
-        topo = self._topo
-        span = topo.span
-        count = self._count
-        cur = self.pos[idx]
-        dcur = topo.depth[cur]
-        while idx.size:
-            left = topo.left[cur]
-            right = topo.right[cur]
-            base = self._tbase[idx]
-            raw_l = span[left] - count[base + left]
-            raw_r = span[right] - count[base + right]
-            cap_l = np.maximum(raw_l, 0)
-            total = cap_l + np.maximum(raw_r, 0)
-            forced = total <= 0
-            go_left = np.empty(idx.size, dtype=bool)
-            if forced.any():
-                go_left[forced] = raw_l[forced] >= raw_r[forced]
-            free = ~forced
-            if free.any():
-                bank = self._bank
-                if bank is None:
-                    # Block = tree height: a full root-to-leaf walk (the
-                    # first round's exact consumption) per extension.
-                    bank = self._bank = MTStreamBank(
-                        derive_ball_seeds(self._trial_seeds, self.labels),
-                        block=max(4, self._topo.height),
-                    )
-                draws = bank.draws(idx[free])
-                go_left[free] = draws < cap_l[free] / total[free]
-            cur = np.where(go_left, left, right)
-            dcur = dcur + 1
-            self._path[idx, dcur] = cur
-            done = topo.is_leaf[cur]
-            if done.any():
-                self._end_depth[idx[done]] = dcur[done]
-                keep = ~done
-                idx = idx[keep]
-                cur = cur[keep]
-                dcur = dcur[keep]
-
-    def _walk_to_rank(self, idx: "np.ndarray", target: "np.ndarray") -> None:
-        """Deterministic descent toward a leaf rank (``path_to_rank``)."""
-        topo = self._topo
-        cur = self.pos[idx]
-        dcur = topo.depth[cur]
-        while idx.size:
-            cur = np.where(target < topo.mid[cur], topo.left[cur], topo.right[cur])
-            dcur = dcur + 1
-            self._path[idx, dcur] = cur
-            done = topo.is_leaf[cur]
-            if done.any():
-                self._end_depth[idx[done]] = dcur[done]
-                keep = ~done
-                idx, cur, dcur, target = (
-                    idx[keep], cur[keep], dcur[keep], target[keep],
-                )
-
-    def _walk_to_kth_free(self, idx: "np.ndarray", k: "np.ndarray") -> None:
-        """``path_to_kth_free_leaf`` descent (callers ensure free > 0)."""
-        topo = self._topo
-        span = topo.span
-        occ = self._leaf_occ
-        cur = self.pos[idx]
-        dcur = topo.depth[cur]
-        remaining = k
-        while idx.size:
-            left = topo.left[cur]
-            free_left = np.maximum(span[left] - occ[self._tbase[idx] + left], 0)
-            go_left = remaining < free_left
-            cur = np.where(go_left, left, topo.right[cur])
-            remaining = np.where(go_left, remaining, remaining - free_left)
-            dcur = dcur + 1
-            self._path[idx, dcur] = cur
-            done = topo.is_leaf[cur]
-            if done.any():
-                self._end_depth[idx[done]] = dcur[done]
-                keep = ~done
-                idx, cur, dcur, remaining = (
-                    idx[keep], cur[keep], dcur[keep], remaining[keep],
-                )
-
-    def _rank_paths(self, candidates: "np.ndarray") -> "np.ndarray":
-        """Rank-descent: the k-th free leaf by label rank at the node."""
-        topo = self._topo
-        start = self.pos[candidates]
-        free = topo.span[start] - self._leaf_occ[self._tbase[candidates] + start]
-        go = free > 0  # full subtree (or leaf): the ball stays put
-        walkers = candidates[go]
-        if walkers.size:
-            rank = self._rank_at_node(candidates)[go]
-            self._walk_to_kth_free(
-                walkers, np.minimum(rank, free[go] - 1)
-            )
-        return walkers
-
-    def _leftmost_paths(self, candidates: "np.ndarray") -> "np.ndarray":
-        """Leftmost-free descent, with the full-subtree leftmost fallback."""
-        topo = self._topo
-        start = self.pos[candidates]
-        free = topo.span[start] - self._leaf_occ[self._tbase[candidates] + start]
-        go = free > 0
-        walkers = candidates[go]
-        if walkers.size:
-            self._walk_to_kth_free(walkers, np.zeros(walkers.size, dtype=np.int32))
-        fallback = candidates[~go]
-        if fallback.size:
-            # No free leaf below: aim at the subtree's leftmost leaf and
-            # let the movement rule park the ball.
-            self._walk_to_rank(fallback, topo.lo[self.pos[fallback]])
-        return candidates
-
-    def _rank_at_node(self, candidates: "np.ndarray") -> "np.ndarray":
-        """Label rank of each candidate among candidates at its node."""
-        return _grouped_ranks(self._tbase[candidates] + self.pos[candidates])
-
-    # -------------------------------------------------------------- movement
     def _move(self, round_no: int, movers: "np.ndarray") -> None:
-        """Lines 12-21 for all trials at once, level by level.
-
-        ``<R`` says deeper balls move first, ties by label.  Since balls
-        only enter subtrees, node ``v`` admits the round's arrivals in
-        ``<R`` order up to its round-start free capacity — so each tree
-        level is one grouped-quota pass, and only over-subscribed nodes
-        need an explicit within-group ranking.
-        """
+        """Lines 12-21 for all trials at once: admitted movers take their
+        child, and a ball reaching a leaf fixes its name."""
         topo = self._topo
-        M = topo.node_count
-        start_depth = topo.depth[self.pos[movers]]
-        end_depth = self._end_depth[movers]
-        # Movers in <R order (trial-major so groups stay contiguous in
-        # meaning): stable sort by shallow-last start depth keeps label
-        # order inside each depth bucket.
-        height = topo.height
-        key = self._trial[movers] * np.int64(height + 1) + (height - start_depth)
-        order = np.argsort(key, kind="stable")
-        P = movers[order]
-        p_start = start_depth[order]
-        p_end = end_depth[order]
-        advancing = np.ones(P.size, dtype=bool)
-        quota = self._span_tiled - self._count  # frozen round-start capacity
-        count = self._count
-        trial = self._trial
-        path = self._path
-        for level in range(1, height + 1):
-            eligible = advancing & (p_start < level) & (level <= p_end)
-            sel_pos = np.flatnonzero(eligible)
-            if sel_pos.size == 0:
-                continue
-            sel = P[sel_pos]
-            child = path[sel, level]
-            gid = self._tbase[sel] + child
-            arrivals = np.bincount(gid, minlength=count.size)
-            crowded = arrivals[gid] > quota[gid]
-            admitted = np.ones(sel.size, dtype=bool)
-            if crowded.any():
-                # Rank the contested arrivals: sel is already in <R
-                # order, so within-node arrival rank is the grouped rank
-                # and the first quota[node] arrivals win.
-                cpos = np.flatnonzero(crowded)
-                cgid = gid[cpos]
-                admitted[cpos] = _grouped_ranks(cgid) < quota[cgid]
-                advancing[sel_pos[~admitted]] = False
-            moved = sel[admitted]
-            if moved.size == 0:
-                continue
-            moved_gid = gid[admitted]
-            if admitted.all():
-                # No over-subscription: the arrivals histogram *is* the
-                # per-node entry count.
-                np.add(count, arrivals, out=count, casting="unsafe")
-            else:
-                np.add(
-                    count,
-                    np.bincount(moved_gid, minlength=count.size),
-                    out=count,
-                    casting="unsafe",
-                )
-            moved_child = child[admitted]
-            self.pos[moved] = moved_child
-            leaf_hit = topo.is_leaf[moved_child]
+        for rows, moved, child in self._admit(
+            self._trial[movers],
+            movers,
+            topo.depth[self.pos[movers]],
+            self._end_depth[movers],
+            self._count,
+            self._span_tiled - self._count,
+        ):
+            self.pos[moved] = child
+            leaf_hit = topo.is_leaf[child]
             if leaf_hit.any():
                 landed = moved[leaf_hit]
-                leaves = moved_child[leaf_hit]
-                self._n_at_leaf += np.bincount(
-                    trial[landed], minlength=self.trials
-                ).astype(np.int32)
+                leaves = child[leaf_hit]
                 self.round_named[landed] = round_no
                 self.decision[landed] = topo.leaf_rank[leaves]
-                if self._leaf_occ is not None:
-                    base = self._tbase[landed]
-                    walk = leaves
-                    while walk.size:
-                        np.add.at(self._leaf_occ, base + walk, 1)
-                        walk = topo.parent[walk]
-                        keep = walk != -1
-                        if not keep.all():
-                            walk = walk[keep]
-                            base = base[keep]
+                self._leaf_change(
+                    self._n_at_leaf, self._leaf_occ, rows[leaf_hit], leaves, 1
+                )
 
     # ---------------------------------------------------------------- results
-    def last_round_named(self, t: int) -> Optional[int]:
-        """Latest round at which any ball of trial ``t`` fixed its name."""
-        named = self.round_named[t * self.n : (t + 1) * self.n]
-        top = int(named.max()) if named.size else -1
-        return top if top >= 0 else None
-
     def monitor_rows(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """The live view class rows in monitor form: ``(pos, status,
         trial)``, one shared row per trial with a running ball (the
@@ -792,7 +909,7 @@ class _LazyOutbox(Mapping):
         return len(self._pids)
 
 
-class VectorizedCrashEngine:
+class VectorizedCrashEngine(_StackedEngine):
     """``T`` stacked trials of one cell under certified crash adversaries.
 
     :class:`~repro.core.columnar.ColumnarCrashEngine` advances one trial
@@ -808,16 +925,9 @@ class VectorizedCrashEngine:
     clamping, the same frozen-capacity ``<R`` admission (purges enter the
     priority order as capacity-credit events), the same
     ``(pos, status)`` merge keys — asserted trial-for-trial by the
-    stacked-crash differential suite.
-
-    Unlike the scalar engines, a trial that exhausts ``max_rounds`` does
-    not raise mid-stack: it is flagged in :attr:`overrun` (with the
-    running count the columnar engine would have reported) and the other
-    trials keep going.  Monitored stacks attach the stacked invariant
-    monitor as :meth:`run`'s observer; it reads the live class rows
-    (:meth:`monitor_rows`) and a trial it proves stalled is flagged in
-    :attr:`stopped` and advances no further.  The sim layer re-raises or
-    captures either per trial.
+    stacked-crash differential suite.  Monitored stacks attach the
+    stacked invariant monitor as :meth:`run`'s observer; it reads the
+    live class rows (:meth:`monitor_rows`).
     """
 
     def __init__(
@@ -831,23 +941,14 @@ class VectorizedCrashEngine:
         crash_budget: int = 0,
         max_rounds: int = 10_000,
     ) -> None:
-        if not HAVE_NUMPY:
-            raise ConfigurationError(
-                "the vectorized engine requires numpy (pip install .[fast])"
-            )
-        require_distinct(ids)
-        if not ids:
-            raise ConfigurationError("renaming needs at least one participant")
-        if policy not in SUPPORTED_POLICIES:
-            raise ConfigurationError(
-                f"policy {policy!r} is not columnar-modeled; "
-                f"choose from {SUPPORTED_POLICIES}"
-            )
-        if not trial_seeds:
-            raise ConfigurationError("a stacked cell needs at least one trial")
-        self.labels: List[BallId] = sorted(ids)
-        self.n = n = len(self.labels)
-        self.trials = T = len(trial_seeds)
+        super().__init__(
+            ids,
+            trial_seeds,
+            policy=policy,
+            halt_on_name=halt_on_name,
+            max_rounds=max_rounds,
+        )
+        T, n, S = self.trials, self.n, self._S
         if adversaries is None:
             adversaries = [None] * T
         if len(adversaries) != T:
@@ -864,28 +965,9 @@ class VectorizedCrashEngine:
             [self._index_of[pid] for pid in ids], dtype=np.int64
         )
         self._input_labels: List[BallId] = list(ids)
-        self._policy = policy
-        self._halt_on_name = halt_on_name
         self._budget = crash_budget
-        self.max_rounds = max_rounds
-        self._topo = topo = vectorized_topology(n)
         self._nodes = cached_topology(n).arrays().nodes
-        M = topo.node_count
-        S = T * n
-        self._S = S
-        self._trial_seeds = list(trial_seeds)
-        self._bank: Optional[MTStreamBank] = None
-        self._jcol = np.tile(np.arange(n, dtype=np.int64), T)
-        self._track_leaf_occ = policy in ("rank", "leftmost")
-        # Per-ball run state (trial-major, -1 sentinels like the scalar
-        # engines' None).
-        self.crashed = np.zeros(S, dtype=bool)
-        self.halted = np.zeros(S, dtype=bool)
-        self.decision = np.full(S, -1, dtype=np.int32)
-        self.round_named = np.full(S, -1, dtype=np.int32)
-        self.round_halted = np.full(S, -1, dtype=np.int32)
-        #: Round each ball crashed (-1 = survived) — trace capture.
-        self.round_crashed = np.full(S, -1, dtype=np.int32)
+        M = self._topo.node_count
         #: Row of each *running* ball's view class in the class matrices
         #: (-1 before round 1 and for non-running balls).
         self.cls_of = np.full(S, -1, dtype=np.int64)
@@ -901,75 +983,11 @@ class VectorizedCrashEngine:
         self._cpresent = np.zeros(0, dtype=np.int32)
         self._cleaf = np.zeros(0, dtype=np.int32)
         self._ctrial = np.zeros(0, dtype=np.int64)
-        # Per-trial counters and termination state.
         self.crashed_count = np.zeros(T, dtype=np.int32)
-        self.running = np.full(T, n, dtype=np.int32)
-        self.rounds = np.zeros(T, dtype=np.int32)
-        self.overrun = np.zeros(T, dtype=bool)
-        self.running_at_limit = np.zeros(T, dtype=np.int32)
-        #: (T,) trials the observer stopped (a proven stall).
-        self.stopped = np.zeros(T, dtype=bool)
-        # Candidate paths, rows indexed by absolute node depth.
-        self._path = np.zeros((S, topo.height + 1), dtype=np.int32)
         self._start_depth = np.zeros(S, dtype=np.int32)
-        self._end_depth = np.zeros(S, dtype=np.int32)
         self._announced = np.full(S, -1, dtype=np.int32)
-        # Metrics trail: one (T,) row per executed round, inactive trials
-        # zeroed so whole-column sums give per-trial totals directly.
-        self.round_sent: List["np.ndarray"] = []
-        self.round_delivered: List["np.ndarray"] = []
-        self.round_crashes: List["np.ndarray"] = []
-        self.round_alive: List["np.ndarray"] = []
-        self.round_running: List["np.ndarray"] = []
-        self._active = np.zeros(T, dtype=bool)
-        self._round = 0
 
     # ------------------------------------------------------------------ driving
-    def run(
-        self,
-        stop_after: Optional[int] = None,
-        observer: Optional[Callable[..., Optional["np.ndarray"]]] = None,
-    ) -> None:
-        """All trials to completion or to the shared round limit.
-
-        Mirrors the per-trial kernel loop: a trial still running when
-        ``max_rounds`` rounds have completed is marked overrun with the
-        running count the columnar engine's raise would have carried.
-        ``stop_after`` and ``observer`` are :meth:`VectorizedCellEngine.run`'s:
-        the stack pauses (resumably) once that round has completed, and
-        ``observer(engine, round_no, active)`` — the stacked invariant
-        monitor's hook — runs after every completed round and may return
-        a (T,) bool mask of trials to stop there, recorded in
-        :attr:`stopped`.
-        """
-        if self._policy in ("random", "hybrid"):
-            # Drawing policies build the bank before round 1, while the
-            # stack holds little else: its build scratch is freed before
-            # the round passes allocate theirs (a lower high-water mark).
-            self._stream_bank()
-        round_no = self._round
-        while True:
-            active = (self.running > 0) & ~self.overrun & ~self.stopped
-            if not active.any():
-                break
-            if stop_after is not None and round_no >= stop_after:
-                break
-            if round_no >= self.max_rounds:
-                self.overrun |= active
-                self.running_at_limit = np.where(
-                    active, self.running, self.running_at_limit
-                )
-                break
-            self._active = active
-            round_no += 1
-            self._round = round_no
-            self.step(round_no)
-            self.rounds[active] = round_no
-            if observer is not None:
-                stop = observer(self, round_no, active)
-                if stop is not None:
-                    self.stopped |= stop
-
     def step(self, round_no: int) -> None:
         """One full round for every active trial: compose, crash plan,
         deliver per (pre-class, signature) group, merge, halt."""
@@ -987,7 +1005,21 @@ class VectorizedCrashEngine:
             kind = "path"
             senders = np.flatnonzero(sent_balls)
             if senders.size:
-                self._choose_paths(round_no, senders)
+                # Each sender's candidate path against *its own* class
+                # row; a sender at a leaf sends the one-node path.
+                c = self.cls_of[senders]
+                start = self._cpos[c, self._jcol[senders]]
+                sd = topo.depth[start]
+                self._path[senders, sd] = start
+                self._start_depth[senders] = sd
+                self._end_depth[senders] = sd
+                walk = np.flatnonzero(~topo.is_leaf[start])
+                if walk.size:
+                    self._choose_paths(
+                        round_no, senders[walk], start[walk],
+                        c[walk] * np.int64(M), self._ccount.reshape(-1),
+                        self._cocc.reshape(-1) if self._cocc is not None else None,
+                    )
         else:
             kind = "pos"
             senders = np.flatnonzero(sent_balls)
@@ -1075,14 +1107,15 @@ class VectorizedCrashEngine:
             ).astype(np.int64)
 
         # Gather each group's pre-class row and apply the round to it.
+        # A group hears every sender but the victims outside its camps.
         sent_m = sent_balls.reshape(T, n)[g_trial]
         victim_m = self._victim.reshape(T, n)[g_trial]
+        delivered = sent_m & (~victim_m | g_sig)
         if kind == "init":
-            members = sent_m & (~victim_m | g_sig)
-            new_pos = np.where(members, np.int32(topo.root), np.int32(-1))
+            new_pos = np.where(delivered, np.int32(topo.root), np.int32(-1))
             new_stat = np.zeros((G, n), dtype=np.uint8)
             new_count = np.zeros((G, M), dtype=np.int32)
-            mcount = members.sum(axis=1).astype(np.int32)
+            mcount = delivered.sum(axis=1).astype(np.int32)
             new_count[:, topo.root] = mcount
             new_present = mcount.copy()
             new_leaf = np.zeros(G, dtype=np.int32)
@@ -1105,12 +1138,12 @@ class VectorizedCrashEngine:
             if kind == "path":
                 self._apply_path_groups(
                     new_pos, new_stat, new_count, new_occ,
-                    new_present, new_leaf, g_trial, g_sig, sent_m, victim_m,
+                    new_present, new_leaf, g_trial, delivered,
                 )
             else:
                 self._apply_pos_groups(
                     new_pos, new_stat, new_count, new_occ,
-                    new_present, new_leaf, g_trial, g_sig, sent_m, victim_m,
+                    new_present, new_leaf, g_trial, delivered,
                 )
 
         # Merge classes whose (pos, status) coincide, then point every
@@ -1162,20 +1195,8 @@ class VectorizedCrashEngine:
                 if self._halt_on_name:
                     halt |= at_leaf
                 if halt.any():
-                    idx = recv[halt]
-                    self.round_halted[idx] = round_no
-                    self.decision[idx] = topo.leaf_rank[p[halt]]
-                    self.halted[idx] = True
-                    self.running -= np.bincount(
-                        r_trial[halt], minlength=T
-                    ).astype(np.int32)
-        self.round_sent.append(sent_row)
-        self.round_delivered.append(delivered_row)
-        self.round_crashes.append(crashes_row)
-        self.round_alive.append(alive_row)
-        self.round_running.append(
-            np.where(active, self.running.astype(np.int64), 0)
-        )
+                    self._halt(round_no, recv[halt], r_trial[halt], p[halt])
+        self._record_round(sent_row, delivered_row, crashes_row, alive_row)
 
     def monitor_rows(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """The live view class rows in monitor form: ``(pos, status,
@@ -1318,7 +1339,7 @@ class VectorizedCrashEngine:
             vlen[k] = len(vs)
         return mem, vmask, vlen, len(events)
 
-    # --------------------------------------------------------------- the rounds
+    # ------------------------------------------------------- round application
     def _apply_path_groups(
         self,
         new_pos: "np.ndarray",
@@ -1328,9 +1349,7 @@ class VectorizedCrashEngine:
         new_present: "np.ndarray",
         new_leaf: "np.ndarray",
         g_trial: "np.ndarray",
-        g_sig: "np.ndarray",
-        sent_m: "np.ndarray",
-        victim_m: "np.ndarray",
+        delivered: "np.ndarray",
     ) -> None:
         """Lines 12-21 on every group row at once, level by level.
 
@@ -1343,45 +1362,42 @@ class VectorizedCrashEngine:
         """
         topo = self._topo
         M = topo.node_count
-        H = topo.height
         n = self.n
-        G = new_pos.shape[0]
         span = topo.span
         depth = topo.depth
         fc = new_count.reshape(-1)
         focc = new_occ.reshape(-1) if new_occ is not None else None
-        lifecycle = self._halt_on_name
         present = new_pos >= 0
-        delivered = sent_m & (~victim_m | g_sig)
         # Frozen round-start capacity; purges must not open quota for
         # <R-earlier arrivals, so they go into the credit ledger instead.
         quota0 = (span[np.newaxis, :] - new_count).reshape(-1).copy()
-        silent = present & ~delivered
-        if lifecycle:
-            silent &= new_stat != _ANNOUNCED
         credit = None
-        purges = None
-        pg, pi = np.nonzero(silent)
-        if pg.size:
+        replay: Optional[Callable[..., None]] = None
+        purged = self._purge(
+            new_pos, new_stat, new_present, new_leaf, fc, focc,
+            present & ~delivered,
+        )
+        if purged is not None:
+            pg, pi, ppos = purged
             credit = np.zeros(fc.size, dtype=np.int32)
-            ppos = new_pos[pg, pi]
-            pdep = depth[ppos]
-            pleaf = span[ppos] == 1
-            new_pos[pg, pi] = -1
-            new_stat[pg, pi] = _ACTIVE
-            new_present -= np.bincount(pg, minlength=G).astype(np.int32)
-            if pleaf.any():
-                new_leaf -= np.bincount(
-                    pg[pleaf], minlength=G
-                ).astype(np.int32)
-            gb = pg * np.int64(M)
-            self._chain_add(fc, gb, ppos, -1)
-            self._chain_add(credit, gb, ppos, 1)
-            if pleaf.any() and focc is not None:
-                self._chain_add(focc, gb[pleaf], ppos[pleaf], -1)
+            self._chain_add(credit, pg * np.int64(M), ppos, 1)
             # Event lists for the (rare) purge-dirtied admission nodes
             # are reconstructed on demand in _admit_dirty from these.
-            purges = (pg, pi, ppos, pdep)
+            purges = (pg, pi, ppos, depth[ppos])
+
+            def replay_purges(
+                gid: "np.ndarray",
+                dirty: "np.ndarray",
+                admitted: "np.ndarray",
+                dp: "np.ndarray",
+                balls: "np.ndarray",
+            ) -> None:
+                self._admit_dirty(
+                    gid, dirty, admitted, quota0, purges, dp, balls % n
+                )
+
+            replay = replay_purges
+
         # Movers: delivered balls whose recorded path resumes from this
         # class's position (the columnar ghost rule: the position must
         # sit on the path strictly before its end, else the ball stays).
@@ -1393,74 +1409,21 @@ class VectorizedCrashEngine:
         ed = self._end_depth[mball]
         p = new_pos[mg, mi]
         dp = depth[p]
-        valid = (sd <= dp) & (dp < ed) & (self._path[mball, dp] == p)
-        keepm = np.flatnonzero(valid)
-        if keepm.size == 0:
-            return
-        mg = mg[keepm]
-        mi = mi[keepm]
-        mball = mball[keepm]
-        dp = dp[keepm]
-        ed = ed[keepm]
-        # <R order: deeper start first, ties by ball index (stable).
-        order = np.argsort(
-            mg * np.int64(H + 1) + (H - dp), kind="stable"
+        valid = np.flatnonzero(
+            (sd <= dp) & (dp < ed) & (self._path[mball, dp] == p)
         )
-        mg = mg[order]
-        mi = mi[order]
-        mball = mball[order]
-        dp = dp[order]
-        ed = ed[order]
-        advancing = np.ones(mg.size, dtype=bool)
-        gbase = mg * np.int64(M)
-        for level in range(1, H + 1):
-            elig = advancing & (dp < level) & (level <= ed)
-            sel = np.flatnonzero(elig)
-            if sel.size == 0:
-                continue
-            child = self._path[mball[sel], level]
-            gid = gbase[sel] + child
-            arrivals = np.bincount(gid, minlength=fc.size)
-            admitted = np.ones(sel.size, dtype=bool)
-            if credit is not None:
-                is_dirty = credit[gid] > 0
-                crowd = ~is_dirty & (arrivals[gid] > quota0[gid])
-            else:
-                is_dirty = None
-                crowd = arrivals[gid] > quota0[gid]
-            if crowd.any():
-                cpos_ = np.flatnonzero(crowd)
-                cgid = gid[cpos_]
-                admitted[cpos_] = _grouped_ranks(cgid) < quota0[cgid]
-            if is_dirty is not None and is_dirty.any():
-                self._admit_dirty(
-                    gid, is_dirty, admitted, quota0, purges,
-                    dp[sel], mi[sel],
-                )
-            if not admitted.all():
-                advancing[sel[~admitted]] = False
-            msel = sel[admitted]
-            if msel.size == 0:
-                continue
-            if admitted.all():
-                np.add(fc, arrivals, out=fc, casting="unsafe")
-            else:
-                np.add(
-                    fc,
-                    np.bincount(gid[admitted], minlength=fc.size),
-                    out=fc,
-                    casting="unsafe",
-                )
-            mchild = child[admitted]
-            new_pos[mg[msel], mi[msel]] = mchild
-            leaf_hit = span[mchild] == 1
+        if valid.size == 0:
+            return
+        for rows, balls, child in self._admit(
+            mg[valid], mball[valid], dp[valid], ed[valid],
+            fc, quota0, credit, replay,
+        ):
+            new_pos[rows, balls % n] = child
+            leaf_hit = span[child] == 1
             if leaf_hit.any():
-                lg = mg[msel][leaf_hit]
-                new_leaf += np.bincount(lg, minlength=G).astype(np.int32)
-                if focc is not None:
-                    self._chain_add(
-                        focc, lg * np.int64(M), mchild[leaf_hit], 1
-                    )
+                self._leaf_change(
+                    new_leaf, focc, rows[leaf_hit], child[leaf_hit], 1
+                )
 
     def _admit_dirty(
         self,
@@ -1523,21 +1486,17 @@ class VectorizedCrashEngine:
         new_present: "np.ndarray",
         new_leaf: "np.ndarray",
         g_trial: "np.ndarray",
-        g_sig: "np.ndarray",
-        sent_m: "np.ndarray",
-        victim_m: "np.ndarray",
+        delivered: "np.ndarray",
     ) -> None:
         """Lines 22-28 on every group row at once (order-independent)."""
         topo = self._topo
         M = topo.node_count
         n = self.n
-        G = new_pos.shape[0]
         span = topo.span
         fc = new_count.reshape(-1)
         focc = new_occ.reshape(-1) if new_occ is not None else None
         lifecycle = self._halt_on_name
         present = new_pos >= 0
-        delivered = sent_m & (~victim_m | g_sig)
         ann = self._announced.reshape(self.trials, n)[g_trial]
         live = present & delivered
         tg, ti = np.nonzero(live & (ann != new_pos))
@@ -1550,17 +1509,9 @@ class VectorizedCrashEngine:
             oldleaf = span[old] == 1
             newleaf = span[newp] == 1
             if oldleaf.any():
-                new_leaf -= np.bincount(
-                    tg[oldleaf], minlength=G
-                ).astype(np.int32)
-                if focc is not None:
-                    self._chain_add(focc, gb[oldleaf], old[oldleaf], -1)
+                self._leaf_change(new_leaf, focc, tg[oldleaf], old[oldleaf], -1)
             if newleaf.any():
-                new_leaf += np.bincount(
-                    tg[newleaf], minlength=G
-                ).astype(np.int32)
-                if focc is not None:
-                    self._chain_add(focc, gb[newleaf], newp[newleaf], 1)
+                self._leaf_change(new_leaf, focc, tg[newleaf], newp[newleaf], 1)
             new_pos[tg, ti] = newp
         if lifecycle:
             lg, li = np.nonzero(live)
@@ -1569,219 +1520,53 @@ class VectorizedCrashEngine:
                 new_stat[lg, li] = np.where(
                     span[a] == 1, np.uint8(_ANNOUNCED), np.uint8(_ACTIVE)
                 )
-        silent = present & ~delivered
-        if lifecycle:
-            silent &= new_stat != _ANNOUNCED
-        pg, pi = np.nonzero(silent)
-        if pg.size:
-            ppos = new_pos[pg, pi]
-            pleaf = span[ppos] == 1
-            new_pos[pg, pi] = -1
-            new_stat[pg, pi] = _ACTIVE
-            new_present -= np.bincount(pg, minlength=G).astype(np.int32)
-            gb = pg * np.int64(M)
-            self._chain_add(fc, gb, ppos, -1)
-            if pleaf.any():
-                new_leaf -= np.bincount(
-                    pg[pleaf], minlength=G
-                ).astype(np.int32)
-                if focc is not None:
-                    self._chain_add(focc, gb[pleaf], ppos[pleaf], -1)
-
-    def _chain_add(
-        self,
-        arr: "np.ndarray",
-        base: "np.ndarray",
-        start: "np.ndarray",
-        delta: int,
-    ) -> None:
-        """``arr[base + v] += delta`` along every root chain from ``start``."""
-        parent = self._topo.parent
-        walk = start
-        b = base
-        while walk.size:
-            np.add.at(arr, b + walk, delta)
-            nxt = parent[walk]
-            keep = nxt != -1
-            walk = nxt[keep]
-            b = b[keep]
-
-    # ------------------------------------------------------------- path choice
-    def _choose_paths(self, round_no: int, senders: "np.ndarray") -> None:
-        """Each sender's candidate path against *its own* class row."""
-        topo = self._topo
-        M = topo.node_count
-        c = self.cls_of[senders]
-        j = self._jcol[senders]
-        start = self._cpos[c, j]
-        sd = topo.depth[start]
-        self._path[senders, sd] = start
-        self._start_depth[senders] = sd
-        self._end_depth[senders] = sd
-        policy = self._policy
-        phase = round_no // 2
-        nonleaf = ~topo.is_leaf[start]
-        cbase = c * np.int64(M)
-        if policy == "random" or (policy == "hybrid" and phase > 1):
-            walkers = np.flatnonzero(nonleaf)
-            if walkers.size:
-                self._walk_random(
-                    senders[walkers], start[walkers], cbase[walkers]
-                )
-            return
-        if policy == "hybrid":
-            pres = self._cpos >= 0
-            rank_all = np.cumsum(pres, axis=1) - pres
-            rank = rank_all[c, j]
-            target = np.minimum(topo.lo[start] + rank, topo.hi[start] - 1)
-            walkers = np.flatnonzero(nonleaf)
-            if walkers.size:
-                self._walk_to_rank(
-                    senders[walkers], start[walkers], target[walkers]
-                )
-            return
-        occ = self._cocc.reshape(-1)
-        free = topo.span[start] - occ[cbase + start]
-        if policy == "rank":
-            go = np.flatnonzero(nonleaf & (free > 0))
-            if go.size:
-                rank = self._ranks_at_node()[c[go], j[go]]
-                self._walk_to_kth_free(
-                    senders[go], start[go], cbase[go],
-                    np.minimum(rank, free[go] - 1),
-                )
-            return
-        if policy == "leftmost":
-            go = np.flatnonzero(nonleaf & (free > 0))
-            if go.size:
-                self._walk_to_kth_free(
-                    senders[go], start[go], cbase[go],
-                    np.zeros(go.size, dtype=np.int64),
-                )
-            fallback = np.flatnonzero(nonleaf & (free <= 0))
-            if fallback.size:
-                self._walk_to_rank(
-                    senders[fallback], start[fallback],
-                    topo.lo[start[fallback]],
-                )
-            return
-        raise ConfigurationError(
-            f"policy {policy!r} is not columnar-modeled"
+        self._purge(
+            new_pos, new_stat, new_present, new_leaf, fc, focc,
+            present & ~delivered,
         )
 
-    def _ranks_at_node(self) -> "np.ndarray":
-        """Label rank of every present ball among the balls at its node,
-        per class row (the columnar ``rank_here`` memo, all at once)."""
+    def _purge(
+        self, new_pos: "np.ndarray", new_stat: "np.ndarray",
+        new_present: "np.ndarray", new_leaf: "np.ndarray",
+        fc: "np.ndarray", focc: Optional["np.ndarray"], silent: "np.ndarray",
+    ) -> Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]]:
+        """Drop the balls a group row did not hear from this round
+        (announced balls stay put); returns the purged ``(row, ball,
+        position)`` table, or None when nothing was purged."""
+        if self._halt_on_name:
+            silent &= new_stat != _ANNOUNCED
+        pg, pi = np.nonzero(silent)
+        if pg.size == 0:
+            return None
+        topo = self._topo
+        G = new_pos.shape[0]
+        ppos = new_pos[pg, pi]
+        pleaf = topo.span[ppos] == 1
+        new_pos[pg, pi] = -1
+        new_stat[pg, pi] = _ACTIVE
+        new_present -= np.bincount(pg, minlength=G).astype(np.int32)
+        self._chain_add(fc, pg * np.int64(topo.node_count), ppos, -1)
+        if pleaf.any():
+            self._leaf_change(new_leaf, focc, pg[pleaf], ppos[pleaf], -1)
+        return pg, pi, ppos
+
+    # ------------------------------------------------------------- path choice
+    def _label_rank(self, idx: "np.ndarray") -> "np.ndarray":
+        # A class row holds only the balls its receivers still see.
+        pres = self._cpos >= 0
+        rank_all = np.cumsum(pres, axis=1) - pres
+        return rank_all[self.cls_of[idx], self._jcol[idx]]
+
+    def _rank_at_node(
+        self, idx: "np.ndarray", start: "np.ndarray", base: "np.ndarray"
+    ) -> "np.ndarray":
+        # Ranked among every present ball of the class row at the node
+        # (the columnar ``rank_here`` memo, all rows at once), not only
+        # this round's walkers: a class row also holds other classes'
+        # balls.
         M = self._topo.node_count
         cc, ii = np.nonzero(self._cpos >= 0)
         keys = cc * np.int64(M) + self._cpos[cc, ii]
-        out = np.zeros((self._crows, self.n), dtype=np.int64)
-        out[cc, ii] = _grouped_ranks(keys)
-        return out
-
-    def _stream_bank(self) -> MTStreamBank:
-        """The stack's per-ball streams, built on first use."""
-        bank = self._bank
-        if bank is None:
-            bank = self._bank = MTStreamBank(
-                derive_ball_seeds(self._trial_seeds, self.labels),
-                block=max(4, self._topo.height),
-            )
-        return bank
-
-    def _draw(self, balls: "np.ndarray") -> "np.ndarray":
-        bank = self._stream_bank()
-        return bank.draws(balls)
-
-    def _walk_random(
-        self, idx: "np.ndarray", cur: "np.ndarray", base: "np.ndarray"
-    ) -> None:
-        """The failure-free engine's random walk against class rows."""
-        topo = self._topo
-        span = topo.span
-        count = self._ccount.reshape(-1)
-        dcur = topo.depth[cur]
-        while idx.size:
-            left = topo.left[cur]
-            right = topo.right[cur]
-            raw_l = span[left] - count[base + left]
-            raw_r = span[right] - count[base + right]
-            cap_l = np.maximum(raw_l, 0)
-            total = cap_l + np.maximum(raw_r, 0)
-            forced = total <= 0
-            go_left = np.empty(idx.size, dtype=bool)
-            if forced.any():
-                go_left[forced] = raw_l[forced] >= raw_r[forced]
-            free = ~forced
-            if free.any():
-                draws = self._draw(idx[free])
-                go_left[free] = draws < cap_l[free] / total[free]
-            cur = np.where(go_left, left, right)
-            dcur = dcur + 1
-            self._path[idx, dcur] = cur
-            done = topo.is_leaf[cur]
-            if done.any():
-                self._end_depth[idx[done]] = dcur[done]
-                keep = ~done
-                idx = idx[keep]
-                cur = cur[keep]
-                dcur = dcur[keep]
-                base = base[keep]
-
-    def _walk_to_rank(
-        self, idx: "np.ndarray", cur: "np.ndarray", target: "np.ndarray"
-    ) -> None:
-        topo = self._topo
-        dcur = topo.depth[cur]
-        while idx.size:
-            cur = np.where(
-                target < topo.mid[cur], topo.left[cur], topo.right[cur]
-            )
-            dcur = dcur + 1
-            self._path[idx, dcur] = cur
-            done = topo.is_leaf[cur]
-            if done.any():
-                self._end_depth[idx[done]] = dcur[done]
-                keep = ~done
-                idx = idx[keep]
-                cur = cur[keep]
-                dcur = dcur[keep]
-                target = target[keep]
-
-    def _walk_to_kth_free(
-        self,
-        idx: "np.ndarray",
-        cur: "np.ndarray",
-        base: "np.ndarray",
-        k: "np.ndarray",
-    ) -> None:
-        topo = self._topo
-        span = topo.span
-        occ = self._cocc.reshape(-1)
-        dcur = topo.depth[cur]
-        remaining = k
-        while idx.size:
-            left = topo.left[cur]
-            free_left = np.maximum(span[left] - occ[base + left], 0)
-            go_left = remaining < free_left
-            cur = np.where(go_left, left, topo.right[cur])
-            remaining = np.where(go_left, remaining, remaining - free_left)
-            dcur = dcur + 1
-            self._path[idx, dcur] = cur
-            done = topo.is_leaf[cur]
-            if done.any():
-                self._end_depth[idx[done]] = dcur[done]
-                keep = ~done
-                idx = idx[keep]
-                cur = cur[keep]
-                dcur = dcur[keep]
-                remaining = remaining[keep]
-                base = base[keep]
-
-    # ---------------------------------------------------------------- results
-    def last_round_named(self, t: int) -> Optional[int]:
-        """Latest naming round of a *correct* ball of trial ``t``."""
-        s = slice(t * self.n, (t + 1) * self.n)
-        named = self.round_named[s]
-        ok = ~self.crashed[s] & (named >= 0)
-        return int(named[ok].max()) if ok.any() else None
+        ranks = np.zeros((self._crows, self.n), dtype=np.int64)
+        ranks[cc, ii] = _grouped_ranks(keys)
+        return ranks[self.cls_of[idx], self._jcol[idx]]

@@ -57,7 +57,12 @@ from repro.adversary.certification import certification_failure
 from repro.adversary.none import NoFailures
 from repro.core.instrumentation import TIMERS
 from repro.errors import ConfigurationError, RoundLimitExceeded
-from repro.sim.kernel import KernelRequest, KernelRun, SimulationKernel
+from repro.sim.kernel import (
+    KernelRequest,
+    KernelRun,
+    SimulationKernel,
+    _fast_path_rejection,
+)
 from repro.sim.metrics import RoundMetrics, SimulationMetrics
 from repro.sim.simulator import SimulationResult
 
@@ -68,48 +73,16 @@ class ColumnarKernel(SimulationKernel):
     name = "columnar"
 
     def rejects(self, request: KernelRequest) -> Optional[str]:
-        if request.policy is None:
-            return (
-                f"algorithm {request.algorithm!r} is not Balls-into-Leaves-"
-                "based; its broadcasts are not position announcements over "
-                "a shared view"
-            )
-        failure = certification_failure(
-            request.adversary, supported=("crash", "omission")
-        )
-        if failure is not None:
-            return failure
-        if request.trace is not None and request.trace_mode != "cheap":
-            return (
-                "full trace recording observes the reference engine's "
-                "message-level events; cheap tracing runs columnar"
-            )
-        if request.collect_phase_stats:
-            return "phase statistics observe the reference view store"
-        if request.monitor == "full":
-            return (
-                "monitor='full' audits the reference engine's instrumented "
-                "movement; cheap monitoring runs columnar"
-            )
-        # Config-level knobs (policy, view mode, invariant checking) share
-        # one gatekeeper with the engine itself.  Under cheap monitoring
-        # the flat-array monitors take over invariant checking, so the
-        # engine-level check_invariants rejection does not apply.
         from repro.core.columnar import columnar_rejections
-        from repro.core.config import BallsIntoLeavesConfig
 
-        config = BallsIntoLeavesConfig(
-            path_policy=request.policy,
-            view_mode=request.view_mode,
-            check_invariants=(
-                request.check_invariants and request.monitor == "off"
+        return _fast_path_rejection(
+            request,
+            certification_failure(
+                request.adversary, supported=("crash", "omission")
             ),
-            halt_on_name=request.halt_on_name,
+            runs="columnar",
+            config_rejections=columnar_rejections,
         )
-        reasons = columnar_rejections(config)
-        if reasons:
-            return "; ".join(reasons)
-        return None
 
     def run(self, request: KernelRequest) -> KernelRun:
         n = request.n

@@ -15,10 +15,14 @@ adversaries) in two shapes:
   interpreter, the topology, and the RNG machinery across the whole
   cell instead of paying them per trial.
 
-Both engines fill the same per-ball and per-round columns (failure-free
-is their zero-crash case), so one result type, :class:`StackedCellRun`,
-reads either: the per-trial results, the per-trial round-limit errors
-and a vectorized spec screen.
+The two engines share one core (everything but the round application:
+validation, the round loop, the stream bank, path choice, ``<R``
+admission, bookkeeping) and fill the same per-ball and per-round
+columns (failure-free is their zero-crash case), so one result type,
+:class:`StackedCellRun`, reads either: the per-trial results, the
+per-trial round-limit errors and a vectorized spec screen.  The
+failure-free engine stays separate from the crash engine's zero-crash
+case because its in-place rounds are faster on failure-free cells.
 
 Everything the stack produces is bit-for-bit what the columnar (and
 hence reference) kernel produces trial by trial — same
@@ -38,7 +42,6 @@ from typing import Hashable, List, Optional, Sequence, Union
 
 from repro.adversary.certification import certification_failure
 from repro.adversary.none import NoFailures
-from repro.core.config import BallsIntoLeavesConfig
 from repro.core.instrumentation import TIMERS
 from repro.core.mt19937 import HAVE_NUMPY
 from repro.errors import (
@@ -49,7 +52,12 @@ from repro.errors import (
     SpecViolation,
 )
 from repro.sim.checker import RenamingSpec, check_renaming
-from repro.sim.kernel import KernelRequest, KernelRun, SimulationKernel
+from repro.sim.kernel import (
+    KernelRequest,
+    KernelRun,
+    SimulationKernel,
+    _fast_path_rejection,
+)
 from repro.sim.metrics import RoundMetrics, SimulationMetrics
 from repro.sim.runner import default_round_limit
 from repro.sim.simulator import SimulationResult
@@ -362,44 +370,14 @@ class VectorizedKernel(SimulationKernel):
     name = "vectorized"
 
     def rejects(self, request: KernelRequest) -> Optional[str]:
-        if request.policy is None:
-            return (
-                f"algorithm {request.algorithm!r} is not Balls-into-Leaves-"
-                "based; its broadcasts are not position announcements over "
-                "a shared view"
-            )
-        adversary = request.adversary
-        failure = certification_failure(adversary, supported=("crash",))
-        if failure is not None:
-            return failure
-        if request.trace is not None and request.trace_mode != "cheap":
-            return (
-                "full trace recording observes the reference engine's "
-                "message-level events; cheap tracing runs stacked"
-            )
-        if request.collect_phase_stats:
-            return "phase statistics observe the reference view store"
-        if request.monitor == "full":
-            return (
-                "monitor='full' audits the reference engine's instrumented "
-                "movement; cheap monitoring runs stacked"
-            )
         from repro.core.vectorized import vectorized_rejections
 
-        # Under cheap monitoring the stacked monitor takes over invariant
-        # checking, so the engine-level rejection does not apply.
-        config = BallsIntoLeavesConfig(
-            path_policy=request.policy,
-            view_mode=request.view_mode,
-            check_invariants=(
-                request.check_invariants and request.monitor == "off"
-            ),
-            halt_on_name=request.halt_on_name,
+        return _fast_path_rejection(
+            request,
+            certification_failure(request.adversary, supported=("crash",)),
+            runs="stacked",
+            config_rejections=vectorized_rejections,
         )
-        reasons = vectorized_rejections(config)
-        if reasons:
-            return "; ".join(reasons)
-        return None
 
     def run(self, request: KernelRequest) -> KernelRun:
         n = request.n

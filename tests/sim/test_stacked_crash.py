@@ -444,6 +444,93 @@ class TestMergedStackPaths:
         assert cell.check() == [None] * len(seeds)
 
 
+#: Per-ball outcome columns and per-trial columns both engines fill.
+ENGINE_COLUMNS = (
+    "decision", "round_named", "round_halted", "halted", "rounds", "overrun",
+)
+#: The per-round metrics trail, one (T,) row per executed round.
+METRICS_TRAIL = (
+    "round_sent", "round_delivered", "round_crashes", "round_alive",
+    "round_running",
+)
+
+
+@needs_numpy
+class TestZeroCrashEngines:
+    """The two stacked engines on the failure-free grid: the crash
+    engine without adversaries is the failure-free engine, column for
+    column and metrics row for metrics row."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    @pytest.mark.parametrize("halt_on_name", [False, True])
+    @pytest.mark.parametrize("policy", ["random", "hybrid", "rank", "leftmost"])
+    def test_engines_agree(self, policy, halt_on_name, n):
+        from repro.core.vectorized import (
+            VectorizedCellEngine,
+            VectorizedCrashEngine,
+        )
+
+        ids = sparse_ids(n)
+        seeds = [101 + k for k in range(3)]
+        cell = VectorizedCellEngine(
+            ids, seeds, policy=policy, halt_on_name=halt_on_name
+        )
+        crash = VectorizedCrashEngine(
+            ids, seeds, policy=policy, halt_on_name=halt_on_name,
+            adversaries=None,
+        )
+        cell.run()
+        crash.run()
+        for column in ENGINE_COLUMNS:
+            assert getattr(cell, column).tolist() == getattr(
+                crash, column
+            ).tolist(), column
+        for trail in METRICS_TRAIL:
+            assert [row.tolist() for row in getattr(cell, trail)] == [
+                row.tolist() for row in getattr(crash, trail)
+            ], trail
+        assert not cell.overrun.any()
+
+
+@needs_numpy
+class TestStreamBankTiming:
+    """One bank rule for both engines: built before round 1 only for the
+    random policy (round 2 always draws), on first draw otherwise."""
+
+    @pytest.mark.parametrize("engine", ["cell", "crash"])
+    @pytest.mark.parametrize(
+        "policy, eager", [("random", True), ("hybrid", False), ("rank", False)]
+    )
+    def test_bank_before_round_one_only_for_random(self, engine, policy, eager):
+        from repro.core.vectorized import (
+            VectorizedCellEngine,
+            VectorizedCrashEngine,
+        )
+
+        cls = VectorizedCellEngine if engine == "cell" else VectorizedCrashEngine
+        stack = cls(sparse_ids(8), [1, 2], policy=policy)
+        stack.run(stop_after=0)
+        assert (stack._bank is not None) == eager
+
+    def test_hybrid_sandwich_stack_finishing_in_phase_one_builds_no_bank(self):
+        """Hybrid draws only from phase 2 on: a crash stack that finishes
+        in phase 1 never seeds a stream."""
+        from repro.adversary.sandwich import SandwichAdversary
+        from repro.core.vectorized import VectorizedCrashEngine
+
+        n = 16
+        seeds = [5 + k for k in range(4)]
+        stack = VectorizedCrashEngine(
+            sparse_ids(n), seeds, policy="hybrid",
+            adversaries=[SandwichAdversary(seed=seed) for seed in seeds],
+            crash_budget=n // 2,
+        )
+        stack.run()
+        assert stack.crashed_count.tolist() == [1] * len(seeds)
+        assert stack.rounds.tolist() == [3] * len(seeds)
+        assert stack._bank is None
+
+
 @needs_numpy
 class TestThreadInvariance:
     def test_thread_count_cannot_change_bits(self, monkeypatch):

@@ -289,6 +289,70 @@ class TestRejections:
         assert run.kernel == "columnar"
 
 
+class TestRejectionGate:
+    """Both fast kernels reject through one gate, word for word: they
+    differ only in the fault families they apply and in where the cheap
+    trace/monitor variants run."""
+
+    FAITHFUL = (
+        "view mode 'faithful' asks for the reference engine's store "
+        "(faithful = the paper-verbatim per-ball trees)"
+    )
+
+    def _reasons(self, **fields):
+        from repro.sim.columnar import ColumnarKernel
+        from repro.sim.kernel import KernelRequest
+        from repro.sim.vectorized import VectorizedKernel
+
+        request = KernelRequest(
+            ids=tuple(sparse_ids(8)), seed=0,
+            **{"algorithm": "balls-into-leaves", "policy": "random", **fields},
+        )
+        return (
+            ColumnarKernel().rejects(request),
+            VectorizedKernel().rejects(request),
+        )
+
+    def test_messages(self):
+        no_numpy = (
+            None
+            if vectorized_available()
+            else "numpy is not installed (the vectorized kernel is the "
+            "`pip install .[fast]` extra)"
+        )
+        numpy_missing = "" if no_numpy is None else no_numpy + "; "
+        not_bil = (
+            "algorithm 'flood' is not Balls-into-Leaves-based; its "
+            "broadcasts are not position announcements over a shared view"
+        )
+        assert self._reasons() == (None, no_numpy)
+        assert self._reasons(algorithm="flood", policy=None, monitor="full") == (
+            not_bil, not_bil,
+        )
+        assert self._reasons(trace=Trace(), trace_mode="full") == tuple(
+            "full trace recording observes the reference engine's "
+            f"message-level events; cheap tracing runs {runs}"
+            for runs in ("columnar", "stacked")
+        )
+        stats = "phase statistics observe the reference view store"
+        assert self._reasons(collect_phase_stats=True) == (stats, stats)
+        assert self._reasons(monitor="full") == tuple(
+            "monitor='full' audits the reference engine's instrumented "
+            f"movement; cheap monitoring runs {runs}"
+            for runs in ("columnar", "stacked")
+        )
+        assert self._reasons(view_mode="faithful", check_invariants=True) == (
+            self.FAITHFUL + "; check_invariants instruments the reference "
+            "movement code",
+            numpy_missing + self.FAITHFUL + "; check_invariants instruments "
+            "the reference movement code",
+        )
+        # Cheap monitoring takes over invariant checking on both.
+        assert self._reasons(check_invariants=True, monitor="cheap") == (
+            None, no_numpy,
+        )
+
+
 class TestNumpyFallback:
     """The degraded grid when the .[fast] extra is missing."""
 

@@ -284,7 +284,10 @@ class TestFaultAdversaryCli:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_hunt_omission_family_smoke(self, capsys):
+    def test_hunt_omission_family_smoke(self, capsys, monkeypatch, tmp_path):
+        # The hunt writes its winner's scenario and trace files into the
+        # cwd; keep them out of the checkout.
+        monkeypatch.chdir(tmp_path)
         assert main(["hunt", "--objective", "rounds", "--strategy", "random",
                      "--fault-family", "omission", "--n", "8",
                      "--budget", "6", "--baseline-trials", "1",
